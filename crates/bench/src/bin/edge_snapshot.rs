@@ -32,7 +32,7 @@ use llmms::server::admission::TenantQuota;
 use llmms::server::service::{
     AppService, GenerateRequest, GenerateResponse, QueryContext, QueryRequest, ServiceError,
 };
-use llmms::server::{client, EdgeConfig, Server, ServerConfig, Transport};
+use llmms::server::{client, EdgeConfig, Server, ServerConfig};
 use serde_json::json;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -211,9 +211,8 @@ impl AppService for BenchService {
     }
 }
 
-fn bench_config(transport: Transport) -> ServerConfig {
+fn bench_config() -> ServerConfig {
     let mut config = ServerConfig {
-        transport,
         worker_threads: WORKER_THREADS,
         queue_depth: 256,
         max_in_flight: 256,
@@ -242,19 +241,15 @@ fn bench_config(transport: Transport) -> ServerConfig {
 
 /// Child mode: serve until killed. The parent reads the `LISTENING` line.
 fn serve_child(mode: &str) -> ! {
-    let transport = match mode {
-        "edge" => Transport::EventLoop,
-        "baseline" => Transport::ThreadPool,
+    let service = Arc::new(BenchService);
+    let server = match mode {
+        "edge" => Server::start_with(service, "127.0.0.1:0", bench_config()),
+        "baseline" => Server::start_blocking(service, "127.0.0.1:0", bench_config()),
         other => {
             eprintln!("edge_snapshot: unknown serve mode {other:?}");
             std::process::exit(2);
         }
-    };
-    let server = Server::start_with(
-        Arc::new(BenchService),
-        "127.0.0.1:0",
-        bench_config(transport),
-    )
+    }
     .expect("bench server must bind");
     println!("LISTENING {}", server.addr());
     std::io::stdout().flush().expect("flush addr line");

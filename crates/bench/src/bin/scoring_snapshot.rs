@@ -4,7 +4,8 @@
 //! strategy does after a pull lands a small chunk on one arm:
 //!
 //! * **naive** — re-embed every arm's full response from scratch and run
-//!   `score_all` over the pool (the `incremental_scoring(false)` path);
+//!   `score_all` over the pool (what the equivalence suite's reference
+//!   does; the engine itself never takes this path);
 //! * **incremental** — fold only the new chunk into the pulled arm's
 //!   accumulator, rank-1-update the `ScoreCache`, and read all N scores.
 //!

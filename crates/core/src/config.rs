@@ -173,6 +173,30 @@ impl Strategy {
             Strategy::Hybrid(_) => "LLM-MS Hybrid",
         }
     }
+
+    /// The short machine name used by the CLI, `/api/config` and natural
+    /// language configuration.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Strategy::Single => "single",
+            Strategy::Oua(_) => "oua",
+            Strategy::Mab(_) => "mab",
+            Strategy::Routed(_) => "routed",
+            Strategy::Hybrid(_) => "hybrid",
+        }
+    }
+
+    /// The strategy called `name` with its default parameters. `"routed"`
+    /// has none (it needs a task index) and, like unknown names, is `None`.
+    pub fn from_name(name: &str) -> Option<Self> {
+        match name {
+            "single" => Some(Strategy::Single),
+            "oua" => Some(Strategy::Oua(OuaConfig::default())),
+            "mab" => Some(Strategy::Mab(MabConfig::default())),
+            "hybrid" => Some(Strategy::Hybrid(crate::hybrid::HybridConfig::default())),
+            _ => None,
+        }
+    }
 }
 
 /// Full orchestrator configuration.
@@ -221,33 +245,6 @@ pub struct OrchestratorConfig {
     /// the serving layer reports overload (see [`crate::brownout`]).
     #[serde(default)]
     pub brownout: crate::brownout::BrownoutConfig,
-    /// Drive Eq. 6.1 scoring through the incremental engine: per-run
-    /// embedding accumulators (O(new tokens) instead of O(total tokens) per
-    /// round) and a cross-round pairwise-similarity cache that only
-    /// recomputes the rows of arms whose text changed. Equivalent to the
-    /// from-scratch path within float tolerance; disable to force the naive
-    /// path (the test oracle).
-    #[serde(default = "default_true")]
-    pub incremental_scoring: bool,
-    /// Embed dirty arms on a small shared worker pool when several changed
-    /// in the same round (OUA round-robin). Only applies while
-    /// `incremental_scoring` is on; results are deterministic either way.
-    #[serde(default = "default_true")]
-    pub parallel_scoring: bool,
-    /// Run each round's generation concurrently across active arms on the
-    /// shared executor, overlapped with the incremental embed refresh. A
-    /// budget-lease protocol keeps grant/refund accounting, prune and
-    /// early-win decisions, and deadline cuts bit-identical to the
-    /// sequential path, which is kept as the test oracle. Applies to the
-    /// OUA round loop and the hybrid probe phase; MAB pulls are inherently
-    /// sequential (each pull's reward depends on the previous pull's text)
-    /// and ignore this knob.
-    #[serde(default = "default_true")]
-    pub parallel_generation: bool,
-}
-
-fn default_true() -> bool {
-    true
 }
 
 impl Default for OrchestratorConfig {
@@ -265,9 +262,6 @@ impl Default for OrchestratorConfig {
             query_deadline_ms: None,
             max_rounds: None,
             brownout: crate::brownout::BrownoutConfig::default(),
-            incremental_scoring: true,
-            parallel_scoring: true,
-            parallel_generation: true,
         }
     }
 }
@@ -372,29 +366,6 @@ impl OrchestratorConfigBuilder {
         self
     }
 
-    /// Toggle the incremental scoring engine (on by default); `false`
-    /// forces from-scratch embedding + `score_all` every round.
-    #[must_use]
-    pub fn incremental_scoring(mut self, on: bool) -> Self {
-        self.config.incremental_scoring = on;
-        self
-    }
-
-    /// Toggle parallel embedding of dirty arms (on by default).
-    #[must_use]
-    pub fn parallel_scoring(mut self, on: bool) -> Self {
-        self.config.parallel_scoring = on;
-        self
-    }
-
-    /// Toggle parallel per-round generation (on by default); `false` forces
-    /// the sequential oracle: arms generate one at a time in arm order.
-    #[must_use]
-    pub fn parallel_generation(mut self, on: bool) -> Self {
-        self.config.parallel_generation = on;
-        self
-    }
-
     /// Finish building.
     pub fn build(self) -> OrchestratorConfig {
         self.config
@@ -424,6 +395,22 @@ mod tests {
         assert_eq!(Strategy::Single.label(), "single");
         assert_eq!(Strategy::Oua(OuaConfig::default()).label(), "LLM-MS OUA");
         assert_eq!(Strategy::Mab(MabConfig::default()).label(), "LLM-MS MAB");
+
+        let router = crate::routed::RouterConfig::new(crate::router::TaskIndex::default());
+        let all = [
+            Strategy::Single,
+            Strategy::Oua(OuaConfig::default()),
+            Strategy::Mab(MabConfig::default()),
+            Strategy::Routed(router),
+            Strategy::Hybrid(crate::hybrid::HybridConfig::default()),
+        ];
+        for strategy in &all {
+            match Strategy::from_name(strategy.name()) {
+                Some(parsed) => assert_eq!(&parsed, strategy),
+                None => assert_eq!(strategy.name(), "routed", "needs a task index"),
+            }
+        }
+        assert_eq!(Strategy::from_name("fifo"), None);
     }
 
     #[test]
@@ -453,12 +440,17 @@ mod tests {
     #[test]
     fn old_configs_without_robustness_knobs_still_parse() {
         // A config serialized before the failure-handling fields existed.
+        // It also still carries the three scoring-engine switches that
+        // were removed with their twin paths: unknown keys are ignored.
         let json = r#"{
             "token_budget": 512,
             "strategy": "Single",
             "temperature": 0.5,
             "seed": 1,
-            "record_events": false
+            "record_events": false,
+            "incremental_scoring": false,
+            "parallel_scoring": false,
+            "parallel_generation": false
         }"#;
         let c: OrchestratorConfig = serde_json::from_str(json).unwrap();
         assert_eq!(c.retry, RetryConfig::default());
@@ -469,23 +461,8 @@ mod tests {
         // "no cap" and default brownout thresholds.
         assert_eq!(c.max_rounds, None);
         assert_eq!(c.brownout, crate::brownout::BrownoutConfig::default());
-        // Scoring-engine knobs postdate the robustness ones and must also
-        // default on for old configs.
-        assert!(c.incremental_scoring);
-        assert!(c.parallel_scoring);
-        assert!(c.parallel_generation);
-    }
-
-    #[test]
-    fn builder_sets_scoring_knobs() {
-        let c = OrchestratorConfig::builder()
-            .incremental_scoring(false)
-            .parallel_scoring(false)
-            .parallel_generation(false)
-            .build();
-        assert!(!c.incremental_scoring);
-        assert!(!c.parallel_scoring);
-        assert!(!c.parallel_generation);
+        assert_eq!(c.token_budget, 512);
+        assert_eq!(c.strategy, Strategy::Single);
     }
 
     #[test]

@@ -1,22 +1,27 @@
-//! Fast-path-vs-oracle equivalence, end to end.
+//! Engine-vs-reference equivalence, end to end.
 //!
-//! Two independent fast paths must be *behaviourally invisible*:
+//! Two parts of the engine must be *behaviourally invisible*:
 //!
 //! * The incremental scoring engine (accumulator embeddings +
 //!   [`crate::ScoreCache`]): same winner, same prunes, same rounds, scores
-//!   within 1e-6 of the naive from-scratch path
-//!   (`incremental_scoring(false)`), which is kept precisely as this oracle.
-//! * The parallel round engine (`parallel_generation`): *bit-identical* to
-//!   the sequential arm-by-arm loop — same winner, prunes, rounds, token
-//!   accounting, retry/backoff bookkeeping, and the exact same event
-//!   trace — including under injected transient/fatal faults, budget
-//!   contention (deferred leases), and round-deadline cuts.
+//!   within 1e-6 of embedding every response from scratch and scoring with
+//!   [`crate::reward::score_all`].
+//! * The parallel round engine: *bit-identical* to generating arm by arm on
+//!   the calling thread — same winner, prunes, rounds, token accounting,
+//!   retry/backoff bookkeeping, and the exact same event trace — including
+//!   under injected transient/fatal faults, budget contention (deferred
+//!   leases), and round-deadline cuts.
+//!
+//! The reference legs are test code: [`crate::reference`] selects them for
+//! the current thread, and only `runpool::generate_round` and
+//! `scoring::score_where` look.
 
 #![cfg(test)]
 
 use crate::config::{MabConfig, MabSelection, OrchestratorConfig, OuaConfig, Strategy};
 use crate::hybrid::HybridConfig;
 use crate::orchestrator::Orchestrator;
+use crate::reference::{self, Reference};
 use crate::result::OrchestrationResult;
 use llmms_models::chaos::{ChaosModel, FaultKind};
 use llmms_models::{KnowledgeEntry, KnowledgeStore, ModelProfile, SharedModel, SimLlm};
@@ -62,19 +67,19 @@ fn run_with(strategy: Strategy, models: &[SharedModel], incremental: bool) -> Or
             token_budget: 160,
             temperature: 0.3,
             seed: 42,
-            incremental_scoring: incremental,
-            // Exercise the worker pool on the incremental side; the naive
-            // leg is the fully sequential, from-scratch oracle.
-            parallel_scoring: incremental,
-            parallel_generation: incremental,
             ..OrchestratorConfig::default()
         },
     );
+    // The naive leg is the fully inline, from-scratch reference.
+    let _reference = reference::scope(Reference {
+        inline_rounds: !incremental,
+        scratch_scoring: !incremental,
+    });
     o.run(models, "What is the capital of France?").unwrap()
 }
 
 /// Run with incremental scoring on both legs; only `parallel_gen` varies —
-/// the parallel round engine against its sequential oracle, with the event
+/// the parallel round engine against its inline reference, with the event
 /// trace recorded so the comparison can be exact.
 fn run_parallel_cfg(
     strategy: Strategy,
@@ -92,12 +97,13 @@ fn run_parallel_cfg(
             seed: 42,
             record_events: true,
             round_deadline_ms,
-            incremental_scoring: true,
-            parallel_scoring: true,
-            parallel_generation: parallel_gen,
             ..OrchestratorConfig::default()
         },
     );
+    let _reference = reference::scope(Reference {
+        inline_rounds: !parallel_gen,
+        scratch_scoring: false,
+    });
     o.run(models, "What is the capital of France?").unwrap()
 }
 
@@ -255,7 +261,7 @@ fn equivalence_survives_backend_faults() {
 }
 
 /// The strategies the parallel engine touches (MAB included as a guard: it
-/// ignores the knob, so the two legs must trivially coincide).
+/// never fans out, so the two legs must trivially coincide).
 fn parallel_strategies() -> Vec<Strategy> {
     vec![
         Strategy::Oua(OuaConfig {

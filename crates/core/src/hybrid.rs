@@ -20,10 +20,10 @@ use crate::deadline::Deadline;
 use crate::events::{EventRecorder, OrchestrationEvent};
 use crate::mab::{final_scores, ucb};
 use crate::result::OrchestrationResult;
-use crate::reward::{score_all, RewardWeights};
+use crate::reward::RewardWeights;
 use crate::runpool::{self, outcomes_of, ModelRun};
 use crate::scoring::{self, ScoreCache};
-use llmms_embed::{Embedding, SharedEmbedder};
+use llmms_embed::SharedEmbedder;
 use llmms_models::{DoneReason, GenOptions, HealthRegistry, SharedModel};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -75,7 +75,6 @@ pub(crate) fn run(
     };
     let tctx = llmms_obs::trace::current();
     let mut runs = ModelRun::start_all(models, prompt, &options, orch.retry, health);
-    runpool::configure_incremental(&mut runs, orch.incremental_scoring);
     runpool::emit_preexisting_failures(&runs, &mut recorder, &tctx);
     let query_embedding = {
         let espan = tctx.scope("embed_query");
@@ -83,19 +82,13 @@ pub(crate) fn run(
         espan.end();
         e
     };
-    // One cache spans both phases: they score with the same weights.
-    let mut cache = orch
-        .incremental_scoring
-        .then(|| ScoreCache::new(n, Arc::clone(&query_embedding), cfg.weights));
+    // One cache spans both phases: phase 2 scores with the hybrid's own
+    // Eq. 6.1 weights, not `cfg.mab.weights`.
+    let mut cache = ScoreCache::new(n, query_embedding, cfg.weights);
     let query_deadline = Deadline::new(orch.query_deadline_ms);
     let mut deadline_exceeded = false;
     let mut rounds = 0usize;
     let mut rounds_capped = false;
-    // Phase 2 scores with the hybrid's own Eq. 6.1 weights.
-    let mab_cfg = MabConfig {
-        weights: cfg.weights,
-        ..cfg.mab.clone()
-    };
 
     // ---- Phase 1: probe + decisive pruning --------------------------------
     let mut scores = vec![0.0f64; n];
@@ -118,91 +111,36 @@ pub(crate) fn run(
         round_tspan.set_attr("round", rounds);
         let round_ctx = round_tspan.context();
         let round_deadline = Deadline::new(orch.round_deadline_ms);
-        // Probe generation: sequential oracle below, or fanned out on the
-        // executor under budget leases (deadlines checked at the batch
-        // boundary — identical traces when no deadline interferes).
-        if orch.parallel_generation {
-            if query_deadline.exceeded() {
-                deadline_exceeded = true;
-            } else if round_deadline.exceeded() {
-                recorder.emit_with(|| OrchestrationEvent::DeadlineExceeded {
-                    scope: "round".into(),
-                    elapsed_ms: round_deadline.elapsed_ms(),
-                });
-            } else {
-                let targets: Vec<(usize, usize)> = runs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, r)| r.is_active())
-                    .map(|(i, _)| (i, cfg.probe_tokens.max(1)))
-                    .collect();
-                for (i, chunk) in runpool::generate_round(
-                    &mut runs,
-                    &targets,
-                    &mut budget,
-                    embedder,
-                    true,
-                    &round_ctx,
-                ) {
-                    if chunk.tokens > 0 || chunk.done.is_some() {
-                        recorder.emit_with(|| OrchestrationEvent::ModelChunk {
-                            model: runs[i].name.clone(),
-                            text: chunk.text.clone(),
-                            tokens: chunk.tokens,
-                            done: chunk.done,
-                        });
-                    }
-                    if chunk.done == Some(DoneReason::Failed) {
-                        recorder.emit_with(|| OrchestrationEvent::ModelFailed {
-                            model: runs[i].name.clone(),
-                            error: runs[i].error.clone().unwrap_or_default(),
-                        });
-                    }
-                }
-            }
+        // Probe generation, fanned out on the executor under budget leases
+        // (deadlines are checked here, at the batch boundary).
+        if query_deadline.exceeded() {
+            deadline_exceeded = true;
+        } else if round_deadline.exceeded() {
+            recorder.emit_with(|| OrchestrationEvent::DeadlineExceeded {
+                scope: "round".into(),
+                elapsed_ms: round_deadline.elapsed_ms(),
+            });
         } else {
-            for run in runs.iter_mut().filter(|r| r.is_active()) {
-                if query_deadline.exceeded() {
-                    deadline_exceeded = true;
-                    break;
-                }
-                if round_deadline.exceeded() {
-                    recorder.emit_with(|| OrchestrationEvent::DeadlineExceeded {
-                        scope: "round".into(),
-                        elapsed_ms: round_deadline.elapsed_ms(),
-                    });
-                    break;
-                }
-                let chunk =
-                    runpool::traced_generate(run, cfg.probe_tokens.max(1), &mut budget, &round_ctx);
-                if chunk.tokens > 0 || chunk.done.is_some() {
-                    recorder.emit_with(|| OrchestrationEvent::ModelChunk {
-                        model: run.name.clone(),
-                        text: chunk.text.clone(),
-                        tokens: chunk.tokens,
-                        done: chunk.done,
-                    });
-                }
-                if chunk.done == Some(DoneReason::Failed) {
-                    recorder.emit_with(|| OrchestrationEvent::ModelFailed {
-                        model: run.name.clone(),
-                        error: run.error.clone().unwrap_or_default(),
-                    });
-                }
-            }
+            let targets: Vec<(usize, usize)> = runs
+                .iter()
+                .enumerate()
+                .filter(|(_, r)| r.is_active())
+                .map(|(i, _)| (i, cfg.probe_tokens.max(1)))
+                .collect();
+            let chunks =
+                runpool::generate_round(&mut runs, &targets, &mut budget, embedder, &round_ctx);
+            runpool::emit_round_chunks(&runs, &chunks, &mut recorder);
         }
         if deadline_exceeded {
             break;
         }
         let score_span = round_ctx.scope("score");
-        update_probe_scores(
+        scoring::score_where(
+            &mut cache,
             &mut runs,
-            &query_embedding,
             embedder,
-            &cfg.weights,
+            |r| !r.eliminated(),
             &mut scores,
-            cache.as_mut(),
-            orch.parallel_scoring,
         );
         score_span.end();
         recorder.emit_with(|| OrchestrationEvent::ScoresUpdated {
@@ -301,14 +239,7 @@ pub(crate) fn run(
             done: chunk.done,
         });
         let score_span = round_ctx.scope("score");
-        let fresh = final_scores(
-            &mut runs,
-            &query_embedding,
-            embedder,
-            &mab_cfg,
-            cache.as_mut(),
-            orch.parallel_scoring,
-        );
+        let fresh = final_scores(&mut cache, &mut runs, embedder);
         score_span.end();
         rewards[chosen] += fresh[chosen];
         pulls[chosen] += 1;
@@ -329,14 +260,7 @@ pub(crate) fn run(
 
     // Final selection: best current Eq. 6.1 score among everything with
     // output (pruned partials included, failed partials last-resort only).
-    let selection = final_scores(
-        &mut runs,
-        &query_embedding,
-        embedder,
-        &mab_cfg,
-        cache.as_mut(),
-        orch.parallel_scoring,
-    );
+    let selection = final_scores(&mut cache, &mut runs, embedder);
     let best = runpool::select_best(&runs, &selection);
     recorder.emit_with(|| OrchestrationEvent::Finished {
         winner: runs[best].name.clone(),
@@ -355,44 +279,5 @@ pub(crate) fn run(
         deadline_exceeded,
         brownout_level: 0,
         events: recorder.into_events(),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn update_probe_scores(
-    runs: &mut [ModelRun],
-    query: &Embedding,
-    embedder: &SharedEmbedder,
-    weights: &RewardWeights,
-    scores: &mut [f64],
-    cache: Option<&mut ScoreCache>,
-    parallel: bool,
-) {
-    if let Some(cache) = cache {
-        scoring::refresh(cache, runs, embedder, parallel);
-        let mask: Vec<bool> = runs
-            .iter()
-            .map(|r| !r.eliminated() && r.has_output())
-            .collect();
-        for (i, m) in mask.iter().enumerate() {
-            if *m {
-                scores[i] = cache.score(i, &mask);
-            }
-        }
-        return;
-    }
-    let participating: Vec<usize> = (0..runs.len())
-        .filter(|&i| !runs[i].eliminated() && runs[i].has_output())
-        .collect();
-    if participating.is_empty() {
-        return;
-    }
-    let embeddings: Vec<Arc<Embedding>> = participating
-        .iter()
-        .map(|&i| runs[i].embedding(embedder))
-        .collect();
-    let fresh = score_all(weights, query, &embeddings);
-    for (slot, &i) in participating.iter().enumerate() {
-        scores[i] = fresh[slot];
     }
 }

@@ -60,13 +60,14 @@ pub mod deadline;
 mod equivalence_tests;
 pub mod error;
 pub mod events;
-mod executor;
 mod failure_tests;
 mod hybrid;
 mod invariant_tests;
 mod mab;
 pub mod orchestrator;
 mod oua;
+#[cfg(test)]
+mod reference;
 pub mod result;
 pub mod reward;
 mod routed;

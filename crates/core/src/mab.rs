@@ -19,23 +19,21 @@
 //! when the current mean-reward leader has finished naturally (its response
 //! can no longer change, and exploitation would pick it anyway).
 //!
-//! Unlike the OUA round loop and the hybrid probe phase, MAB ignores
-//! [`OrchestratorConfig::parallel_generation`]: the strategy is inherently
-//! sequential. Each pull's reward scores the pulled arm's text against
-//! *every other arm's current text* (the agreement term of Eq. 6.1), and the
-//! next UCB selection depends on that reward — so pull t+1 cannot start
-//! until pull t has generated and been scored. There is no intra-pull
-//! fan-out to exploit.
+//! Unlike the OUA round loop and the hybrid probe phase, MAB does not fan
+//! its generation out: the strategy is inherently sequential. Each pull's
+//! reward scores the pulled arm's text against *every other arm's current
+//! text* (the agreement term of Eq. 6.1), and the next UCB selection
+//! depends on that reward — so pull t+1 cannot start until pull t has
+//! generated and been scored. There is no intra-pull fan-out to exploit.
 
 use crate::budget::TokenBudget;
 use crate::config::{MabConfig, MabSelection, OrchestratorConfig};
 use crate::deadline::Deadline;
 use crate::events::{EventRecorder, OrchestrationEvent};
 use crate::result::OrchestrationResult;
-use crate::reward::combined_score;
 use crate::runpool::{self, outcomes_of, ModelRun};
 use crate::scoring::{self, ScoreCache};
-use llmms_embed::{Embedding, SharedEmbedder};
+use llmms_embed::SharedEmbedder;
 use llmms_models::{DoneReason, GenOptions, HealthRegistry, SharedModel};
 use std::sync::Arc;
 
@@ -61,7 +59,6 @@ pub(crate) fn run(
     // surface here as `DoneReason::Failed` chunks.
     let tctx = llmms_obs::trace::current();
     let mut runs = ModelRun::start_all(models, prompt, &options, orch.retry, health);
-    runpool::configure_incremental(&mut runs, orch.incremental_scoring);
     runpool::emit_preexisting_failures(&runs, &mut recorder, &tctx);
     let query_embedding = {
         let espan = tctx.scope("embed_query");
@@ -69,9 +66,7 @@ pub(crate) fn run(
         espan.end();
         e
     };
-    let mut cache = orch
-        .incremental_scoring
-        .then(|| ScoreCache::new(n, Arc::clone(&query_embedding), cfg.weights));
+    let mut cache = ScoreCache::new(n, query_embedding, cfg.weights);
     let query_deadline = Deadline::new(orch.query_deadline_ms);
     let mut deadline_exceeded = false;
 
@@ -103,14 +98,7 @@ pub(crate) fn run(
         // so its (winning) response can no longer change.
         if cfg.early_stop {
             let leader = match cfg.selection {
-                MabSelection::FinalScore => argmax(&final_scores(
-                    &mut runs,
-                    &query_embedding,
-                    embedder,
-                    cfg,
-                    cache.as_mut(),
-                    orch.parallel_scoring,
-                )),
+                MabSelection::FinalScore => argmax(&final_scores(&mut cache, &mut runs, embedder)),
                 _ => leader_of(&rewards, &pulls, cfg.selection),
             };
             if let Some(leader) = leader {
@@ -178,15 +166,8 @@ pub(crate) fn run(
 
         // Reward (lines 8–9): Eq. 6.1 on the updated partial response.
         let score_span = round_ctx.scope("score");
-        let reward = pull_reward(
-            &mut runs,
-            chosen,
-            &query_embedding,
-            embedder,
-            cfg,
-            cache.as_mut(),
-            orch.parallel_scoring,
-        );
+        // Only the pulled arm grew, so the cache refresh is a rank-1 update.
+        let reward = final_scores(&mut cache, &mut runs, embedder)[chosen];
         score_span.end();
         rewards[chosen] += reward;
         pulls[chosen] += 1;
@@ -216,14 +197,7 @@ pub(crate) fn run(
     // Final selection (line 16): the arm with the highest reward under the
     // configured reading of "reward".
     let selection_scores: Vec<f64> = match cfg.selection {
-        MabSelection::FinalScore => final_scores(
-            &mut runs,
-            &query_embedding,
-            embedder,
-            cfg,
-            cache.as_mut(),
-            orch.parallel_scoring,
-        ),
+        MabSelection::FinalScore => final_scores(&mut cache, &mut runs, embedder),
         _ => (0..n)
             .map(|i| selection_score(&rewards, &pulls, i, cfg.selection))
             .collect(),
@@ -297,44 +271,16 @@ fn leader_of(rewards: &[f64], pulls: &[usize], selection: MabSelection) -> Optio
 }
 
 /// Eq. 6.1 score of every arm's current response against the others —
-/// OUA-style final scoring (arms without output score 0).
-///
-/// With a [`ScoreCache`] only arms whose text grew since the last call are
-/// re-embedded and re-correlated; without one the naive from-scratch path
-/// runs (the equivalence oracle).
+/// OUA-style final scoring, except that pruned and failed arms still count
+/// (arms without output score 0).
 pub(crate) fn final_scores(
+    cache: &mut ScoreCache,
     runs: &mut [ModelRun],
-    query: &Embedding,
     embedder: &SharedEmbedder,
-    cfg: &MabConfig,
-    cache: Option<&mut ScoreCache>,
-    parallel: bool,
 ) -> Vec<f64> {
-    let n = runs.len();
-    if let Some(cache) = cache {
-        scoring::refresh(cache, runs, embedder, parallel);
-        let mask: Vec<bool> = runs.iter().map(ModelRun::has_output).collect();
-        return (0..n)
-            .map(|i| if mask[i] { cache.score(i, &mask) } else { 0.0 })
-            .collect();
-    }
-    let embeddings: Vec<Option<Arc<Embedding>>> = (0..n)
-        .map(|i| runs[i].has_output().then(|| runs[i].embedding(embedder)))
-        .collect();
-    (0..n)
-        .map(|i| {
-            let Some(target) = &embeddings[i] else {
-                return 0.0;
-            };
-            let others: Vec<&Embedding> = embeddings
-                .iter()
-                .enumerate()
-                .filter(|(j, e)| *j != i && e.is_some())
-                .map(|(_, e)| e.as_deref().expect("filtered to Some"))
-                .collect();
-            combined_score(&cfg.weights, query, target, &others)
-        })
-        .collect()
+    let mut scores = vec![0.0; runs.len()];
+    scoring::score_where(cache, runs, embedder, |_| true, &mut scores);
+    scores
 }
 
 fn argmax(scores: &[f64]) -> Option<usize> {
@@ -344,35 +290,4 @@ fn argmax(scores: &[f64]) -> Option<usize> {
         .filter(|(_, s)| **s > 0.0)
         .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
         .map(|(i, _)| i)
-}
-
-/// Eq. 6.1 reward for the pulled arm against the other arms' current
-/// partial responses.
-fn pull_reward(
-    runs: &mut [ModelRun],
-    chosen: usize,
-    query: &Embedding,
-    embedder: &SharedEmbedder,
-    cfg: &MabConfig,
-    cache: Option<&mut ScoreCache>,
-    parallel: bool,
-) -> f64 {
-    if !runs[chosen].has_output() {
-        return 0.0;
-    }
-    if let Some(cache) = cache {
-        // Only the pulled arm grew, so the refresh is a rank-1 update.
-        scoring::refresh(cache, runs, embedder, parallel);
-        let mask: Vec<bool> = runs.iter().map(ModelRun::has_output).collect();
-        return cache.score(chosen, &mask);
-    }
-    let target = runs[chosen].embedding(embedder);
-    let mut others: Vec<Arc<Embedding>> = Vec::with_capacity(runs.len() - 1);
-    for (i, run) in runs.iter_mut().enumerate() {
-        if i != chosen && run.has_output() {
-            others.push(run.embedding(embedder));
-        }
-    }
-    let refs: Vec<&Embedding> = others.iter().map(|e| &**e).collect();
-    combined_score(&cfg.weights, query, &target, &refs)
 }

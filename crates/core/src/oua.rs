@@ -25,11 +25,10 @@ use crate::config::{OrchestratorConfig, OuaConfig};
 use crate::deadline::Deadline;
 use crate::events::{EventRecorder, OrchestrationEvent};
 use crate::result::OrchestrationResult;
-use crate::reward::score_all;
 use crate::runpool::{self, outcomes_of, ModelRun};
 use crate::scoring::{self, ScoreCache};
-use llmms_embed::{Embedding, SharedEmbedder};
-use llmms_models::{DoneReason, GenOptions, HealthRegistry, SharedModel};
+use llmms_embed::SharedEmbedder;
+use llmms_models::{GenOptions, HealthRegistry, SharedModel};
 use std::sync::Arc;
 
 /// Run Algorithm 1 over `models` for `prompt`.
@@ -53,7 +52,6 @@ pub(crate) fn run(
     };
     let tctx = llmms_obs::trace::current();
     let mut runs = ModelRun::start_all(models, prompt, &options, orch.retry, health);
-    runpool::configure_incremental(&mut runs, orch.incremental_scoring);
     runpool::emit_preexisting_failures(&runs, &mut recorder, &tctx);
     let query_embedding = {
         let espan = tctx.scope("embed_query");
@@ -61,9 +59,7 @@ pub(crate) fn run(
         espan.end();
         e
     };
-    let mut cache = orch
-        .incremental_scoring
-        .then(|| ScoreCache::new(n, Arc::clone(&query_embedding), cfg.weights));
+    let mut cache = ScoreCache::new(n, query_embedding, cfg.weights);
     let query_deadline = Deadline::new(orch.query_deadline_ms);
     let mut deadline_exceeded = false;
 
@@ -100,90 +96,30 @@ pub(crate) fn run(
         let survivors = runs.iter().filter(|r| !r.eliminated()).count().max(1);
         let allowance = orch.token_budget / survivors;
 
-        // Round-robin generation (lines 5–9). The sequential loop below is
-        // the oracle; with `parallel_generation` the same work is fanned
-        // out on the executor under budget leases, with deadline checks at
-        // the batch boundary (a cut cannot interrupt off-thread arms, so it
-        // lands between fan-outs — with no deadline, or an already-expired
-        // one, the two paths emit identical traces).
+        // Round-robin generation (lines 5–9), fanned out on the executor
+        // under budget leases. A deadline cannot interrupt off-thread arms,
+        // so both are checked here, at the batch boundary.
         let mut attempted = false;
         let mut round_cut = false;
-        if orch.parallel_generation {
-            if query_deadline.exceeded() {
-                deadline_exceeded = true;
-            } else if round_deadline.exceeded() {
-                round_cut = true;
-            } else {
-                // Per-arm state is untouched by other arms' generation, so
-                // collecting requests up front sees exactly the states the
-                // lazy sequential filter would.
-                let targets: Vec<(usize, usize)> = runs
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, r)| r.is_active())
-                    .filter_map(|(i, r)| {
-                        let room = allowance.saturating_sub(r.tokens());
-                        let request = cfg.round_tokens.min(room);
-                        (request > 0).then_some((i, request))
-                    })
-                    .collect();
-                attempted = !targets.is_empty();
-                for (i, chunk) in runpool::generate_round(
-                    &mut runs,
-                    &targets,
-                    &mut budget,
-                    embedder,
-                    true,
-                    &round_ctx,
-                ) {
-                    if chunk.tokens > 0 || chunk.done.is_some() {
-                        recorder.emit_with(|| OrchestrationEvent::ModelChunk {
-                            model: runs[i].name.clone(),
-                            text: chunk.text.clone(),
-                            tokens: chunk.tokens,
-                            done: chunk.done,
-                        });
-                    }
-                    if chunk.done == Some(DoneReason::Failed) {
-                        recorder.emit_with(|| OrchestrationEvent::ModelFailed {
-                            model: runs[i].name.clone(),
-                            error: runs[i].error.clone().unwrap_or_default(),
-                        });
-                    }
-                }
-            }
+        if query_deadline.exceeded() {
+            deadline_exceeded = true;
+        } else if round_deadline.exceeded() {
+            round_cut = true;
         } else {
-            for run in runs.iter_mut().filter(|r| r.is_active()) {
-                if query_deadline.exceeded() {
-                    deadline_exceeded = true;
-                    break;
-                }
-                if round_deadline.exceeded() {
-                    round_cut = true;
-                    break;
-                }
-                let room = allowance.saturating_sub(run.tokens());
-                let request = cfg.round_tokens.min(room);
-                if request == 0 {
-                    continue;
-                }
-                attempted = true;
-                let chunk = runpool::traced_generate(run, request, &mut budget, &round_ctx);
-                if chunk.tokens > 0 || chunk.done.is_some() {
-                    recorder.emit_with(|| OrchestrationEvent::ModelChunk {
-                        model: run.name.clone(),
-                        text: chunk.text.clone(),
-                        tokens: chunk.tokens,
-                        done: chunk.done,
-                    });
-                }
-                if chunk.done == Some(DoneReason::Failed) {
-                    recorder.emit_with(|| OrchestrationEvent::ModelFailed {
-                        model: run.name.clone(),
-                        error: run.error.clone().unwrap_or_default(),
-                    });
-                }
-            }
+            let targets: Vec<(usize, usize)> = runs
+                .iter()
+                .enumerate()
+                .filter(|(_, r)| r.is_active())
+                .filter_map(|(i, r)| {
+                    let room = allowance.saturating_sub(r.tokens());
+                    let request = cfg.round_tokens.min(room);
+                    (request > 0).then_some((i, request))
+                })
+                .collect();
+            attempted = !targets.is_empty();
+            let chunks =
+                runpool::generate_round(&mut runs, &targets, &mut budget, embedder, &round_ctx);
+            runpool::emit_round_chunks(&runs, &chunks, &mut recorder);
         }
         if deadline_exceeded {
             break;
@@ -204,14 +140,14 @@ pub(crate) fn run(
 
         // Scoring (lines 10–15): every non-pruned response participates.
         let score_span = round_ctx.scope("score");
-        update_scores(
+        // Pruned and failed runs keep their last score (the `scores` dict
+        // of Algorithm 1 is never erased).
+        scoring::score_where(
+            &mut cache,
             &mut runs,
-            &query_embedding,
             embedder,
-            cfg,
+            |r| !r.eliminated(),
             &mut scores,
-            cache.as_mut(),
-            orch.parallel_scoring,
         );
         score_span.end();
         recorder.emit_with(|| OrchestrationEvent::ScoresUpdated {
@@ -304,53 +240,6 @@ pub(crate) fn run(
         deadline_exceeded,
         brownout_level: 0,
         events: recorder.into_events(),
-    }
-}
-
-/// Recompute Eq. 6.1 scores for all surviving runs with output; pruned and
-/// failed runs keep their last score (the `scores` dict of Algorithm 1 is
-/// never erased).
-///
-/// With a [`ScoreCache`] (incremental scoring on) only arms whose text grew
-/// are re-embedded and only their matrix rows recomputed; without one the
-/// naive from-scratch `score_all` path runs — the oracle the equivalence
-/// tests compare against.
-#[allow(clippy::too_many_arguments)]
-fn update_scores(
-    runs: &mut [ModelRun],
-    query: &Embedding,
-    embedder: &SharedEmbedder,
-    cfg: &OuaConfig,
-    scores: &mut [f64],
-    cache: Option<&mut ScoreCache>,
-    parallel: bool,
-) {
-    if let Some(cache) = cache {
-        scoring::refresh(cache, runs, embedder, parallel);
-        let mask: Vec<bool> = runs
-            .iter()
-            .map(|r| !r.eliminated() && r.has_output())
-            .collect();
-        for (i, m) in mask.iter().enumerate() {
-            if *m {
-                scores[i] = cache.score(i, &mask);
-            }
-        }
-        return;
-    }
-    let participating: Vec<usize> = (0..runs.len())
-        .filter(|&i| !runs[i].eliminated() && runs[i].has_output())
-        .collect();
-    if participating.is_empty() {
-        return;
-    }
-    let embeddings: Vec<Arc<Embedding>> = participating
-        .iter()
-        .map(|&i| runs[i].embedding(embedder))
-        .collect();
-    let fresh = score_all(&cfg.weights, query, &embeddings);
-    for (slot, &i) in participating.iter().enumerate() {
-        scores[i] = fresh[slot];
     }
 }
 

@@ -18,16 +18,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Per-run embedding state: an incremental accumulator (when the embedder
-/// supports one and incremental scoring is on) plus the cached snapshot.
+/// supports one) plus the cached snapshot.
 ///
 /// Staleness is detected by byte length: every session type accumulates its
 /// response append-only, so `response_so_far().len() != fed_bytes` iff new
 /// text arrived. A length that *shrank* (a non-append-only custom session)
 /// resets the accumulator defensively and re-feeds from scratch.
 struct EmbedState {
-    /// Whether this run may use an accumulator at all (the naive oracle
-    /// path turns this off so it truly re-embeds from scratch).
-    incremental: bool,
     acc: Option<Box<dyn IncrementalAccumulator>>,
     /// Whether the embedder was already asked for an accumulator (it may
     /// legitimately have answered `None`).
@@ -41,7 +38,6 @@ struct EmbedState {
 impl EmbedState {
     fn new() -> Self {
         Self {
-            incremental: true,
             acc: None,
             acc_probed: false,
             fed_bytes: 0,
@@ -277,30 +273,22 @@ impl ModelRun {
     /// Extract this round's generation work so it can execute on any
     /// thread. The job owns the session (a [`DeadSession`] placeholder sits
     /// in the run until [`ModelRun::finish_generate`] reinstalls it), the
-    /// token lease it may generate against, the retry policy, and — when
-    /// incremental scoring is on — the embedding accumulator, so the embed
-    /// refresh overlaps with other arms' generation instead of waiting for
-    /// scoring time.
+    /// token lease it may generate against, the retry policy, and the
+    /// embedding accumulator, so the embed refresh overlaps with other arms'
+    /// generation instead of waiting for scoring time.
     ///
     /// Returns `None` for failed runs and zero leases; callers fall back to
-    /// the sequential [`ModelRun::generate`] at the barrier, which replays
-    /// those cases exactly.
+    /// the inline [`ModelRun::generate`] at the barrier, which replays those
+    /// cases exactly.
     pub fn begin_generate(&mut self, lease: usize, embedder: &SharedEmbedder) -> Option<GenJob> {
         if self.failed || lease == 0 {
             return None;
         }
-        if self.embed.incremental && !self.embed.acc_probed {
-            self.embed.acc = embedder.accumulator();
-            self.embed.acc_probed = true;
-        }
-        let embed = if self.embed.incremental {
-            Some(GenEmbedJob {
-                acc: self.embed.acc.take(),
-                fed_bytes: self.embed.fed_bytes,
-                have_cache: self.embed.cached.is_some(),
-            })
-        } else {
-            None
+        self.probe_accumulator(embedder);
+        let embed = GenEmbedJob {
+            acc: self.embed.acc.take(),
+            fed_bytes: self.embed.fed_bytes,
+            have_cache: self.embed.cached.is_some(),
         };
         self.tokens_floor = self.session.tokens_generated();
         Some(GenJob {
@@ -322,12 +310,10 @@ impl ModelRun {
         self.session = done.session;
         self.retries += done.retries_delta;
         self.backoff += done.backoff_delta;
-        if let Some(embed) = done.embed {
-            self.embed.acc = embed.acc;
-            if let Some(e) = embed.embedding {
-                self.embed.fed_bytes = embed.total_bytes;
-                self.embed.cached = Some(e);
-            }
+        self.embed.acc = done.embed.acc;
+        if let Some(e) = done.embed.embedding {
+            self.embed.fed_bytes = done.embed.total_bytes;
+            self.embed.cached = Some(e);
         }
         self.note_generate_latency(done.busy);
         let granted = budget.grant(done.lease);
@@ -429,17 +415,12 @@ impl ModelRun {
         self.embed.cached.is_none() || self.session.response_so_far().len() != self.embed.fed_bytes
     }
 
-    /// Disable (or re-enable) the incremental accumulator for this run.
-    /// The naive scoring oracle turns it off so every refresh truly
-    /// re-embeds from scratch.
-    pub fn set_incremental(&mut self, on: bool) {
-        self.embed.incremental = on;
-        if !on {
-            self.embed.acc = None;
-            // Force a re-feed if incremental is ever turned back on.
-            self.embed.acc_probed = false;
-            self.embed.fed_bytes = 0;
-            self.embed.cached = None;
+    /// Ask the embedder for an accumulator, once per run (it may
+    /// legitimately answer `None`: the run then re-embeds its full text).
+    fn probe_accumulator(&mut self, embedder: &SharedEmbedder) {
+        if !self.embed.acc_probed {
+            self.embed.acc = embedder.accumulator();
+            self.embed.acc_probed = true;
         }
     }
 
@@ -451,10 +432,7 @@ impl ModelRun {
         if !self.embedding_stale() {
             return None;
         }
-        if self.embed.incremental && !self.embed.acc_probed {
-            self.embed.acc = embedder.accumulator();
-            self.embed.acc_probed = true;
-        }
+        self.probe_accumulator(embedder);
         let text = self.session.response_so_far();
         let total_bytes = text.len();
         let kind = match self.embed.acc.take() {
@@ -555,7 +533,7 @@ pub(crate) struct GenJob {
     session: Box<dyn GenerationSession>,
     lease: usize,
     policy: RetryConfig,
-    embed: Option<GenEmbedJob>,
+    embed: GenEmbedJob,
 }
 
 /// The embedding-overlap half of a [`GenJob`]: the accumulator and feed
@@ -578,7 +556,7 @@ pub(crate) struct GenDone {
     outcome: GenOutcome,
     retries_delta: u32,
     backoff_delta: Duration,
-    embed: Option<GenEmbedDone>,
+    embed: GenEmbedDone,
     /// Wall time the task occupied a worker — drives the per-arm latency
     /// histogram and the round busy/wall speedup metrics.
     busy: Duration,
@@ -624,10 +602,7 @@ impl GenJob {
                 }
             }
         };
-        let embed = self
-            .embed
-            .take()
-            .map(|job| job.fold(self.session.as_ref(), embedder));
+        let embed = self.embed.fold(self.session.as_ref(), embedder);
         GenDone {
             session: self.session,
             lease: self.lease,
@@ -722,12 +697,12 @@ pub(crate) fn traced_generate(
 }
 
 /// Run one round of generation over `targets` (`(arm index, request)` pairs
-/// in arm order), charging the shared budget. With `parallel` set, arms
-/// whose lease is pessimistically covered generate concurrently on the
-/// executor; everything else — deferred arms, zero requests, already-failed
-/// runs — replays the sequential path at the barrier. Either way the
-/// returned `(arm, chunk)` list, all budget accounting, and all per-run
-/// state transitions are bit-identical to calling
+/// in arm order), charging the shared budget. Arms whose lease is
+/// pessimistically covered generate concurrently on the executor;
+/// everything else — a round of fewer than two targets, deferred arms, zero
+/// requests, already-failed runs — generates inline at the barrier. Either
+/// way the returned `(arm, chunk)` list, all budget accounting, and all
+/// per-run state transitions are bit-identical to calling
 /// [`ModelRun::generate`] target by target.
 ///
 /// Tracing: each arm's work is wrapped in an `"arm"` span. The span itself
@@ -743,10 +718,12 @@ pub(crate) fn generate_round(
     targets: &[(usize, usize)],
     budget: &mut TokenBudget,
     embedder: &SharedEmbedder,
-    parallel: bool,
     trace: &llmms_obs::SpanContext,
 ) -> Vec<(usize, Chunk)> {
-    if !parallel || targets.len() < 2 {
+    let inline = targets.len() < 2;
+    #[cfg(test)]
+    let inline = inline || crate::reference::current().inline_rounds;
+    if inline {
         return targets
             .iter()
             .map(|&(i, request)| (i, traced_generate(&mut runs[i], request, budget, trace)))
@@ -991,10 +968,31 @@ pub(crate) fn emit_preexisting_failures(
     }
 }
 
-/// Apply the orchestrator's `incremental_scoring` setting to every run.
-pub(crate) fn configure_incremental(runs: &mut [ModelRun], on: bool) {
-    for run in runs.iter_mut() {
-        run.set_incremental(on);
+/// Emit what a round produced, in arm order: a
+/// [`OrchestrationEvent::ModelChunk`] per chunk that carried tokens or
+/// finished its arm, and a [`OrchestrationEvent::ModelFailed`] per arm the
+/// round failed.
+pub(crate) fn emit_round_chunks(
+    runs: &[ModelRun],
+    chunks: &[(usize, Chunk)],
+    recorder: &mut EventRecorder,
+) {
+    for (i, chunk) in chunks {
+        let run = &runs[*i];
+        if chunk.tokens > 0 || chunk.done.is_some() {
+            recorder.emit_with(|| OrchestrationEvent::ModelChunk {
+                model: run.name.clone(),
+                text: chunk.text.clone(),
+                tokens: chunk.tokens,
+                done: chunk.done,
+            });
+        }
+        if chunk.done == Some(DoneReason::Failed) {
+            recorder.emit_with(|| OrchestrationEvent::ModelFailed {
+                model: run.name.clone(),
+                error: run.error.clone().unwrap_or_default(),
+            });
+        }
     }
 }
 
@@ -1149,22 +1147,74 @@ mod tests {
         let models = pool();
         let embedder = llmms_embed::default_embedder();
         let mut budget = TokenBudget::new(1000);
-        // Two runs of the same model: one incremental, one naive oracle.
-        let mut fast = start(&models);
-        let mut naive = start(&models);
-        naive[0].set_incremental(false);
+        let mut runs = start(&models);
         for _ in 0..6 {
-            fast[0].generate(3, &mut budget);
-            naive[0].generate(3, &mut budget);
-            assert_eq!(fast[0].response(), naive[0].response());
-            let fe = fast[0].embedding(&embedder);
-            let ne = naive[0].embedding(&embedder);
-            let cos = llmms_embed::cosine_embeddings(&fe, &ne);
+            runs[0].generate(3, &mut budget);
+            let fast = runs[0].embedding(&embedder);
+            let scratch = embedder.embed(runs[0].response());
+            let cos = llmms_embed::cosine_embeddings(&fast, &scratch);
             assert!(
-                fast[0].response().is_empty() || cos >= 1.0 - 1e-5,
+                runs[0].response().is_empty() || cos >= 1.0 - 1e-5,
                 "cos={cos}"
             );
         }
+    }
+
+    /// Everything a round may change on a run, for whole-pool comparison.
+    fn run_states(runs: &[ModelRun]) -> Vec<impl PartialEq + std::fmt::Debug> {
+        runs.iter()
+            .map(|r| {
+                (
+                    r.response().to_owned(),
+                    (r.tokens(), r.rounds, r.retries, r.stalls),
+                    r.simulated_latency(),
+                    (r.done(), r.error.clone()),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn generate_round_matches_the_inline_path() {
+        let embedder = llmms_embed::default_embedder();
+        let trace = llmms_obs::SpanContext::disabled();
+        let mut models = pool();
+        models[0] = ChaosModel::wrap(Arc::clone(&models[0]), FaultKind::Flaky { p: 0.4 }, 11);
+        // The second limit is tight enough that the pessimistic lease plan
+        // defers the last arm to the barrier.
+        let mut retried = false;
+        for limit in [10_000, 5] {
+            let mut fanned = start(&models);
+            let mut inline = start(&models);
+            let mut fanned_budget = TokenBudget::new(limit);
+            let mut inline_budget = TokenBudget::new(limit);
+            let mut deferred = false;
+            for _ in 0..8 {
+                let targets: Vec<(usize, usize)> = (0..fanned.len())
+                    .filter(|&i| fanned[i].is_active())
+                    .map(|i| (i, 2))
+                    .collect();
+                let requests: Vec<usize> = targets.iter().map(|&(_, r)| r).collect();
+                deferred |= fanned_budget
+                    .plan_leases(&requests)
+                    .contains(&Lease::Deferred);
+                let from_round =
+                    generate_round(&mut fanned, &targets, &mut fanned_budget, &embedder, &trace);
+                let one_by_one: Vec<(usize, Chunk)> = targets
+                    .iter()
+                    .map(|&(i, request)| {
+                        let run = &mut inline[i];
+                        (i, traced_generate(run, request, &mut inline_budget, &trace))
+                    })
+                    .collect();
+                assert_eq!(from_round, one_by_one);
+                assert_eq!(fanned_budget, inline_budget);
+                assert_eq!(run_states(&fanned), run_states(&inline));
+            }
+            retried |= fanned[0].retries > 0;
+            assert_eq!(deferred, limit == 5, "limit {limit}");
+        }
+        assert!(retried, "the flaky arm never retried");
     }
 
     #[test]

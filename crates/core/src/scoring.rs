@@ -24,14 +24,19 @@
 //! Equivalence: [`ScoreCache::score`] performs the same f64 products and
 //! the same ascending-index summation as [`crate::reward::combined_score`]
 //! over [`crate::reward::score_all`]'s operand order, so given identical
-//! embeddings the scores are bit-identical to the naive path; with
+//! embeddings the scores are bit-identical to scoring from scratch; with
 //! incremental embeddings they differ only by the accumulator's f32
-//! rounding (within 1e-6, pinned by the equivalence tests).
+//! rounding (within 1e-6, pinned by the equivalence tests, whose
+//! from-scratch reference lives in this file as test-only code).
 
 use crate::reward::RewardWeights;
-use crate::runpool::ModelRun;
+use crate::runpool::{EmbedDone, EmbedJob, ModelRun};
 use llmms_embed::{cosine_embeddings, Embedding, SharedEmbedder};
 use std::sync::Arc;
+
+/// Below this much pending (un-embedded) text across all dirty arms the
+/// dispatch overhead outweighs the parallelism; [`refresh`] embeds inline.
+const MIN_PARALLEL_BYTES: usize = 1024;
 
 /// Cross-round cache of query similarities and pairwise agreements.
 pub struct ScoreCache {
@@ -124,17 +129,71 @@ impl ScoreCache {
     }
 }
 
+/// Eq. 6.1 scores for the round: bring `cache` up to date with `runs`, then
+/// write the score of every arm that has output and satisfies
+/// `participates` into `scores`, with exactly those arms as each other's
+/// agreement term. Other arms keep whatever `scores` already held.
+pub(crate) fn score_where(
+    cache: &mut ScoreCache,
+    runs: &mut [ModelRun],
+    embedder: &SharedEmbedder,
+    participates: impl Fn(&ModelRun) -> bool,
+    scores: &mut [f64],
+) {
+    let mask: Vec<bool> = runs
+        .iter()
+        .map(|r| r.has_output() && participates(r))
+        .collect();
+    #[cfg(test)]
+    if crate::reference::current().scratch_scoring {
+        return score_from_scratch(cache, runs, embedder, &mask, scores);
+    }
+    refresh(cache, runs, embedder);
+    for (i, _) in mask.iter().enumerate().filter(|(_, &m)| m) {
+        scores[i] = cache.score(i, &mask);
+    }
+}
+
+/// The reference for [`score_where`]: embed every participating response
+/// from scratch and score with [`crate::reward::score_all`]; the cache only
+/// lends its query embedding and weights.
+#[cfg(test)]
+fn score_from_scratch(
+    cache: &ScoreCache,
+    runs: &[ModelRun],
+    embedder: &SharedEmbedder,
+    mask: &[bool],
+    scores: &mut [f64],
+) {
+    let arms: Vec<usize> = (0..runs.len()).filter(|&i| mask[i]).collect();
+    let embeddings: Vec<Embedding> = arms
+        .iter()
+        .map(|&i| embedder.embed(runs[i].response()))
+        .collect();
+    let fresh = crate::reward::score_all(&cache.weights, &cache.query, &embeddings);
+    for (slot, &i) in arms.iter().enumerate() {
+        scores[i] = fresh[slot];
+    }
+}
+
+/// Run the embed jobs on the shared worker pool and collect every result.
+fn run_jobs(jobs: Vec<(usize, EmbedJob)>, embedder: &SharedEmbedder) -> Vec<(usize, EmbedDone)> {
+    let tasks: Vec<_> = jobs
+        .into_iter()
+        .map(|(idx, job)| {
+            let embedder = Arc::clone(embedder);
+            (idx, move || job.compute(&embedder))
+        })
+        .collect();
+    llmms_exec::run_indexed(tasks)
+}
+
 /// Bring the cache up to date with the runs: embed every arm whose response
 /// grew (on the shared worker pool when several changed at once and the
 /// pending text is large enough to amortize dispatch) and install the fresh
 /// embeddings. Exports the cache-hit-rate, dirty-arm-count and refresh
 /// latency metrics surfaced in `/stats`.
-pub(crate) fn refresh(
-    cache: &mut ScoreCache,
-    runs: &mut [ModelRun],
-    embedder: &SharedEmbedder,
-    parallel: bool,
-) {
+fn refresh(cache: &mut ScoreCache, runs: &mut [ModelRun], embedder: &SharedEmbedder) {
     let registry = llmms_obs::Registry::global();
     let refresh_timer = registry.histogram("scoring_refresh_us");
     let _span = registry.span_on(&refresh_timer);
@@ -155,8 +214,8 @@ pub(crate) fn refresh(
     let dirty = jobs.len();
 
     let pending_bytes: usize = jobs.iter().map(|(_, j)| j.pending_bytes()).sum();
-    let done = if parallel && dirty >= 2 && pending_bytes >= crate::executor::MIN_PARALLEL_BYTES {
-        crate::executor::run_jobs(jobs, embedder)
+    let done = if dirty >= 2 && pending_bytes >= MIN_PARALLEL_BYTES {
+        run_jobs(jobs, embedder)
     } else {
         jobs.into_iter()
             .map(|(i, job)| (i, job.compute(embedder)))
@@ -294,6 +353,62 @@ mod tests {
         let oracle = naive_scores(&w, &q, &arms, &mask);
         for i in 0..3 {
             assert_eq!(cache.score(i, &mask), oracle[i].unwrap(), "arm {i}");
+        }
+    }
+
+    #[test]
+    fn pool_results_match_serial_compute() {
+        use crate::budget::TokenBudget;
+        use llmms_models::{GenOptions, HealthRegistry, KnowledgeStore, ModelProfile, SimLlm};
+
+        let entries = vec![llmms_models::KnowledgeEntry {
+            id: "q".into(),
+            question: "What is the capital of France?".into(),
+            category: "geography".into(),
+            golden: "The capital of France is Paris".into(),
+            correct: vec![],
+            incorrect: vec!["The capital of France is Lyon".into()],
+        }];
+        let store = Arc::new(KnowledgeStore::build(
+            entries,
+            llmms_embed::default_embedder(),
+        ));
+        let models: Vec<llmms_models::SharedModel> = ModelProfile::evaluation_pool()
+            .into_iter()
+            .map(|p| Arc::new(SimLlm::new(p, Arc::clone(&store))) as llmms_models::SharedModel)
+            .collect();
+        let embedder = llmms_embed::default_embedder();
+        let mut runs = ModelRun::start_all(
+            &models,
+            "What is the capital of France?",
+            &GenOptions::default(),
+            crate::config::RetryConfig::default(),
+            &Arc::new(HealthRegistry::default()),
+        );
+        let mut budget = TokenBudget::new(10_000);
+        for run in runs.iter_mut() {
+            for _ in 0..3 {
+                let _ = run.generate(8, &mut budget);
+            }
+        }
+
+        // Serial oracle: embed each response text from scratch.
+        let oracle: Vec<_> = runs.iter().map(|r| embedder.embed(r.response())).collect();
+
+        let jobs: Vec<_> = runs
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(i, r)| r.begin_embed(&embedder).map(|j| (i, j)))
+            .collect();
+        assert!(!jobs.is_empty());
+        let done = run_jobs(jobs, &embedder);
+        for (i, result) in done {
+            runs[i].finish_embed(result);
+        }
+        for (i, run) in runs.iter_mut().enumerate() {
+            let fast = run.embedding(&embedder);
+            let cos = llmms_embed::cosine_embeddings(&fast, &oracle[i]);
+            assert!(cos >= 1.0 - 1e-5, "arm {i}: cos={cos}");
         }
     }
 

@@ -30,7 +30,6 @@ pub(crate) fn run(
     let tctx = llmms_obs::trace::current();
     let pool = [model.clone()];
     let mut runs = ModelRun::start_all(&pool, prompt, &options, orch.retry, health);
-    runpool::configure_incremental(&mut runs, orch.incremental_scoring);
     runpool::emit_preexisting_failures(&runs, &mut recorder, &tctx);
     let query_deadline = Deadline::new(orch.query_deadline_ms);
     let mut deadline_exceeded = false;

@@ -40,7 +40,7 @@
 
 pub mod sched;
 
-pub use sched::{Priority, SchedMode};
+pub use sched::Priority;
 
 use crossbeam_channel::{unbounded, Receiver};
 use sched::{SchedConfig, SchedCore};
@@ -266,14 +266,6 @@ pub fn set_tenant_share(tenant: &str, weight: u32) {
         .set_share(tenant, weight);
 }
 
-/// Switch the dispatch policy. Only honoured while the queue is drained
-/// (returns `false` otherwise); exists so benches can A/B the FIFO baseline
-/// against the scheduler on identical workloads.
-pub fn set_mode(mode: SchedMode) -> bool {
-    let p = pool();
-    p.state.lock().expect("scheduler state").set_mode(mode)
-}
-
 /// Jobs enqueued and not yet dispatched across all queries — the server's
 /// brownout/shed path reads this as its backpressure signal.
 pub fn queue_depth() -> usize {
@@ -292,8 +284,6 @@ pub struct SchedSnapshot {
     pub workers: usize,
     /// Jobs dispatched over the process lifetime.
     pub dispatched: u64,
-    /// Active dispatch policy.
-    pub mode: SchedMode,
 }
 
 /// Snapshot the runtime state.
@@ -305,7 +295,6 @@ pub fn snapshot() -> SchedSnapshot {
         active_queries: state.active_queries(),
         workers: p.workers.load(Ordering::Relaxed),
         dispatched: state.dispatched(),
-        mode: state.mode(),
     }
 }
 
@@ -579,6 +568,40 @@ mod tests {
         assert_eq!(snapshot().active_queries, before + 1);
         drop(h);
         assert_eq!(snapshot().active_queries, before);
+    }
+
+    #[test]
+    fn snapshot_reports_depth_workers_and_dispatch_count() {
+        // More gated tasks than the worker cap: however the fleet is shared
+        // with the other tests, at least `extra` of them stay queued until
+        // the gate opens.
+        let extra = 4;
+        let total = MAX_WORKERS + extra;
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let before = snapshot();
+        let tasks: Vec<(usize, _)> = (0..total)
+            .map(|i| {
+                let gate = Arc::clone(&gate);
+                (i, move || {
+                    let (open, cv) = &*gate;
+                    let mut open = open.lock().unwrap();
+                    while !*open {
+                        open = cv.wait(open).unwrap();
+                    }
+                    i
+                })
+            })
+            .collect();
+        let batch = submit_indexed(tasks);
+        let held = snapshot();
+        assert!(held.queue_depth >= extra, "{held:?}");
+        assert!((1..=MAX_WORKERS).contains(&held.workers), "{held:?}");
+        assert!(held.active_queries >= 1, "{held:?}");
+        *gate.0.lock().unwrap() = true;
+        gate.1.notify_all();
+        assert_eq!(batch.wait_ok().len(), total);
+        let after = snapshot();
+        assert!(after.dispatched >= before.dispatched + total as u64);
     }
 
     #[test]

@@ -22,10 +22,6 @@
 //!   order as the tie-break). Every active query therefore gets served at
 //!   least once per round: no query starves no matter how many jobs an
 //!   elephant query keeps enqueueing.
-//!
-//! [`SchedMode::Fifo`] preserves the old single-queue behaviour (strict
-//! enqueue order, no fairness) and exists as the bench baseline for
-//! `BENCH_sched.json`.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
@@ -65,22 +61,9 @@ impl Priority {
     }
 }
 
-/// Dispatch policy of the runtime.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SchedMode {
-    /// Two-level deficit round-robin with EDF ordering (the default).
-    #[default]
-    Drr,
-    /// Strict global enqueue order — the pre-scheduler pool behaviour, kept
-    /// as the measurable baseline.
-    Fifo,
-}
-
 /// Tuning knobs of the scheduling core.
 #[derive(Clone, Copy, Debug)]
 pub struct SchedConfig {
-    /// Dispatch policy.
-    pub mode: SchedMode,
     /// Job credits granted per tenant visit is `weight × tenant_quantum`.
     pub tenant_quantum: u32,
     /// Job credits granted to each query per intra-tenant round. `1` gives
@@ -91,7 +74,6 @@ pub struct SchedConfig {
 impl Default for SchedConfig {
     fn default() -> Self {
         SchedConfig {
-            mode: SchedMode::Drr,
             tenant_quantum: 4,
             query_quantum: 1,
         }
@@ -110,20 +92,11 @@ struct Job<T> {
     enqueued_us: u64,
 }
 
-struct FifoJob<T> {
-    qid: u64,
-    tenant: Arc<str>,
-    job: Job<T>,
-}
-
 struct QueryState<T> {
     tenant: Arc<str>,
     key: QueryKey,
-    /// Per-query job queue (DRR mode; FIFO mode keeps jobs in the global
-    /// deque and only maintains `pending`).
+    /// Jobs enqueued and not yet dispatched.
     jobs: VecDeque<Job<T>>,
-    /// Jobs enqueued and not yet dispatched, across both modes.
-    pending: usize,
     /// Intra-round job credits left.
     deficit: u32,
     /// False once the owning [`crate::QueryHandle`] dropped; the query is
@@ -135,7 +108,7 @@ struct TenantState {
     weight: u32,
     /// Job credits left in the current ring visit.
     deficit: u64,
-    /// Jobs pending across all of this tenant's queries (DRR mode).
+    /// Jobs pending across all of this tenant's queries.
     pending: usize,
     /// Queries with at least one queued job, in EDF order.
     active: BTreeSet<QueryKey>,
@@ -166,8 +139,6 @@ pub struct SchedCore<T> {
     /// Active tenants in visit order.
     ring: Vec<Arc<str>>,
     cursor: usize,
-    /// FIFO-mode global queue.
-    fifo: VecDeque<FifoJob<T>>,
     pending: usize,
     next_qid: u64,
     dispatched: u64,
@@ -183,7 +154,6 @@ impl<T> SchedCore<T> {
             tenants: HashMap::new(),
             ring: Vec::new(),
             cursor: 0,
-            fifo: VecDeque::new(),
             pending: 0,
             next_qid: 0,
             dispatched: 0,
@@ -205,11 +175,6 @@ impl<T> SchedCore<T> {
         self.dispatched
     }
 
-    /// Current dispatch policy.
-    pub fn mode(&self) -> SchedMode {
-        self.config.mode
-    }
-
     /// Set a tenant's weighted share (minimum effective weight is 1).
     /// Applies to the live tenant immediately and persists for re-activation.
     pub fn set_share(&mut self, tenant: &str, weight: u32) {
@@ -217,17 +182,6 @@ impl<T> SchedCore<T> {
         if let Some(t) = self.tenants.get_mut(tenant) {
             t.weight = weight.max(1);
         }
-    }
-
-    /// Switch dispatch policy. Only honoured while the queue is empty (the
-    /// two modes keep jobs in different structures); returns whether the
-    /// switch applied.
-    pub fn set_mode(&mut self, mode: SchedMode) -> bool {
-        if self.pending != 0 {
-            return false;
-        }
-        self.config.mode = mode;
-        true
     }
 
     /// Register a query and return its id. `deadline_us` is on the caller's
@@ -242,7 +196,6 @@ impl<T> SchedCore<T> {
                 tenant: tname,
                 key: (priority, deadline_us.unwrap_or(NO_DEADLINE), qid),
                 jobs: VecDeque::new(),
-                pending: 0,
                 deficit: 0,
                 registered: true,
             },
@@ -256,7 +209,7 @@ impl<T> SchedCore<T> {
         let remove = match self.queries.get_mut(&qid) {
             Some(q) => {
                 q.registered = false;
-                q.pending == 0
+                q.jobs.is_empty()
             }
             None => false,
         };
@@ -277,49 +230,25 @@ impl<T> SchedCore<T> {
                 .queries
                 .get_mut(&qid)
                 .expect("enqueue to a registered query");
-            q.pending += 1;
-            (Arc::clone(&q.tenant), q.key, q.jobs.is_empty())
+            let was_empty = q.jobs.is_empty();
+            q.jobs.push_back(Job {
+                task,
+                enqueued_us: now_us,
+            });
+            (Arc::clone(&q.tenant), q.key, was_empty)
         };
         self.pending += 1;
-        let job = Job {
-            task,
-            enqueued_us: now_us,
-        };
-        match self.config.mode {
-            SchedMode::Fifo => {
-                self.fifo.push_back(FifoJob { qid, tenant, job });
-            }
-            SchedMode::Drr => {
-                self.queries
-                    .get_mut(&qid)
-                    .expect("query present")
-                    .jobs
-                    .push_back(job);
-                let t = self
-                    .tenants
-                    .get_mut(&tenant)
-                    .expect("registered query has a tenant");
-                t.pending += 1;
-                if was_empty {
-                    t.active.insert(key);
-                }
-                if !t.in_ring {
-                    t.in_ring = true;
-                    self.ring.push(tenant);
-                }
-            }
+        let t = self
+            .tenants
+            .get_mut(&tenant)
+            .expect("registered query has a tenant");
+        t.pending += 1;
+        if was_empty {
+            t.active.insert(key);
         }
-    }
-
-    /// Pull the next job according to the active policy, or `None` when the
-    /// queue is empty.
-    pub fn dequeue(&mut self) -> Option<Dispatch<T>> {
-        if self.pending == 0 {
-            return None;
-        }
-        match self.config.mode {
-            SchedMode::Fifo => self.dequeue_fifo(),
-            SchedMode::Drr => self.dequeue_drr(),
+        if !t.in_ring {
+            t.in_ring = true;
+            self.ring.push(tenant);
         }
     }
 
@@ -342,27 +271,9 @@ impl<T> SchedCore<T> {
         name
     }
 
-    fn dequeue_fifo(&mut self) -> Option<Dispatch<T>> {
-        let entry = self.fifo.pop_front()?;
-        self.pending -= 1;
-        self.dispatched += 1;
-        let mut drop_query = false;
-        if let Some(q) = self.queries.get_mut(&entry.qid) {
-            q.pending -= 1;
-            drop_query = q.pending == 0 && !q.registered;
-        }
-        if drop_query {
-            self.queries.remove(&entry.qid);
-        }
-        Some(Dispatch {
-            task: entry.job.task,
-            qid: entry.qid,
-            tenant: entry.tenant,
-            enqueued_us: entry.job.enqueued_us,
-        })
-    }
-
-    fn dequeue_drr(&mut self) -> Option<Dispatch<T>> {
+    /// Pull the next job in two-level DRR order, or `None` when the queue is
+    /// empty.
+    pub fn dequeue(&mut self) -> Option<Dispatch<T>> {
         loop {
             if self.ring.is_empty() {
                 return None;
@@ -425,8 +336,7 @@ impl<T> SchedCore<T> {
                 let q = self.queries.get_mut(&qid).expect("active query exists");
                 let job = q.jobs.pop_front().expect("active query has jobs");
                 q.deficit = q.deficit.saturating_sub(1);
-                q.pending -= 1;
-                let now_empty = q.pending == 0;
+                let now_empty = q.jobs.is_empty();
                 if now_empty {
                     q.deficit = 0;
                 }
@@ -474,7 +384,6 @@ mod tests {
 
     fn drr(query_quantum: u32, tenant_quantum: u32) -> SchedCore<u64> {
         SchedCore::new(SchedConfig {
-            mode: SchedMode::Drr,
             tenant_quantum,
             query_quantum,
         })
@@ -486,22 +395,6 @@ mod tests {
             out.push((d.qid, d.task));
         }
         out
-    }
-
-    #[test]
-    fn fifo_preserves_enqueue_order() {
-        let mut core = SchedCore::new(SchedConfig {
-            mode: SchedMode::Fifo,
-            ..SchedConfig::default()
-        });
-        let a = core.register("t", Priority::Normal, None);
-        let b = core.register("t", Priority::High, Some(0));
-        for n in 0..3 {
-            core.enqueue(a, n, 0);
-            core.enqueue(b, n + 10, 0);
-        }
-        let order: Vec<u64> = drain(&mut core).into_iter().map(|(_, v)| v).collect();
-        assert_eq!(order, vec![0, 10, 1, 11, 2, 12]);
     }
 
     #[test]
@@ -573,17 +466,6 @@ mod tests {
         assert_eq!(drain(&mut core).len(), 2);
         assert_eq!(core.active_queries(), 0, "reclaimed after drain");
         assert_eq!(core.queue_depth(), 0);
-    }
-
-    #[test]
-    fn mode_switch_only_when_idle() {
-        let mut core = drr(1, 4);
-        let q = core.register("t", Priority::Normal, None);
-        core.enqueue(q, 1, 0);
-        assert!(!core.set_mode(SchedMode::Fifo), "refused while jobs queued");
-        drain(&mut core);
-        assert!(core.set_mode(SchedMode::Fifo));
-        assert_eq!(core.mode(), SchedMode::Fifo);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! (c) **Deadline ordering** — within a tenant, dispatch order never
 //!     inverts the `(priority, deadline, registration)` order.
 
-use llmms_exec::sched::{Priority, SchedConfig, SchedCore, SchedMode};
+use llmms_exec::sched::{Priority, SchedConfig, SchedCore};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -26,7 +26,6 @@ fn priority_of(code: u8) -> Priority {
 
 fn core(tenant_quantum: u32, query_quantum: u32) -> SchedCore<u64> {
     SchedCore::new(SchedConfig {
-        mode: SchedMode::Drr,
         tenant_quantum,
         query_quantum,
     })

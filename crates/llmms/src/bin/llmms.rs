@@ -8,12 +8,12 @@
 //! llmms serve [--addr HOST:PORT] [--persist DIR] [--fsync-every N]
 //!             [--tenant-quota RATE:BURST:CONCURRENT] [--max-in-flight N] [--target-p99-ms N]
 //!             [--sched-shares TENANT:WEIGHT[,...]] [--sched-shed-depth N]
-//!             [--transport edge|threads] [--edge-max-conns N] [--edge-idle-timeout-ms N]
+//!             [--edge-max-conns N] [--edge-idle-timeout-ms N]
 //!             [--edge-max-keepalive-requests N]
 //! llmms models
 //! ```
 
-use llmms::core::{HybridConfig, MabConfig, OrchestrationResult, OuaConfig, Strategy};
+use llmms::core::{OrchestrationResult, Strategy};
 use llmms::platform::AskOptions;
 use llmms::Platform;
 use std::io::{BufRead, Write};
@@ -51,7 +51,7 @@ fn print_usage() {
          llmms serve [--addr HOST:PORT] [--persist DIR] [--fsync-every N]\n              \
          [--tenant-quota RATE:BURST:CONCURRENT] [--max-in-flight N] [--target-p99-ms N]\n              \
          [--sched-shares TENANT:WEIGHT[,...]] [--sched-shed-depth N]\n              \
-         [--transport edge|threads] [--edge-max-conns N] [--edge-idle-timeout-ms N]\n              \
+         [--edge-max-conns N] [--edge-idle-timeout-ms N]\n              \
          [--edge-max-keepalive-requests N]\n  \
          llmms models"
     );
@@ -69,14 +69,48 @@ fn flag_present(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
 }
 
-fn strategy_from(name: &str) -> Option<Strategy> {
-    match name {
-        "oua" => Some(Strategy::Oua(OuaConfig::default())),
-        "mab" => Some(Strategy::Mab(MabConfig::default())),
-        "hybrid" => Some(Strategy::Hybrid(HybridConfig::default())),
-        "single" => Some(Strategy::Single),
-        _ => None,
+/// Reject, with the usage text and exit code 2, any `--flag` that is neither
+/// in `valued` (must be followed by its value) nor in `switches`.
+fn check_flags(
+    command: &str,
+    args: &[String],
+    valued: &[&str],
+    switches: &[&str],
+) -> Result<(), i32> {
+    let mut rest = args.iter().map(String::as_str);
+    while let Some(arg) = rest.next() {
+        let problem = if !arg.starts_with("--") || switches.contains(&arg) {
+            None
+        } else if !valued.contains(&arg) {
+            Some(format!("unknown flag {arg}"))
+        } else if rest.next().is_some_and(|value| !value.starts_with("--")) {
+            None
+        } else {
+            Some(format!("{arg} expects a value"))
+        };
+        if let Some(problem) = problem {
+            eprintln!("{command}: {problem}\n");
+            print_usage();
+            return Err(2);
+        }
     }
+    Ok(())
+}
+
+/// `--flag value` parsed as `T`; a malformed value is reported and becomes
+/// exit code 2.
+fn parsed_flag<T: std::str::FromStr>(
+    args: &[String],
+    flag: &str,
+    expects: &str,
+) -> Result<Option<T>, i32> {
+    let Some(value) = flag_value(args, flag) else {
+        return Ok(None);
+    };
+    value.parse().map(Some).map_err(|_| {
+        eprintln!("serve: {flag} expects {expects}, got {value:?}");
+        2
+    })
 }
 
 fn print_result(result: &OrchestrationResult, trace: bool) {
@@ -101,6 +135,10 @@ fn print_result(result: &OrchestrationResult, trace: bool) {
 }
 
 fn cmd_ask(args: &[String]) -> i32 {
+    let valued = ["--strategy", "--budget", "--instruct"];
+    if let Err(code) = check_flags("ask", args, &valued, &["--trace"]) {
+        return code;
+    }
     let Some(question) = args.iter().find(|a| !a.starts_with("--")) else {
         eprintln!("ask: missing question");
         return 2;
@@ -114,7 +152,7 @@ fn cmd_ask(args: &[String]) -> i32 {
     }
     let mut config = platform.orchestrator_config();
     if let Some(s) = flag_value(args, "--strategy") {
-        match strategy_from(s) {
+        match Strategy::from_name(s) {
             Some(strategy) => config.strategy = strategy,
             None => {
                 eprintln!("ask: unknown strategy {s:?}");
@@ -170,7 +208,7 @@ fn cmd_chat(_args: &[String]) -> i32 {
             continue;
         }
         if let Some(name) = line.strip_prefix(":strategy ") {
-            match strategy_from(name.trim()) {
+            match Strategy::from_name(name.trim()) {
                 Some(strategy) => {
                     let mut config = platform.orchestrator_config();
                     config.strategy = strategy;
@@ -198,6 +236,9 @@ fn cmd_chat(_args: &[String]) -> i32 {
 }
 
 fn cmd_eval(args: &[String]) -> i32 {
+    if let Err(code) = check_flags("eval", args, &["--items", "--budget"], &[]) {
+        return code;
+    }
     let items = flag_value(args, "--items")
         .and_then(|v| v.parse().ok())
         .unwrap_or(60);
@@ -228,6 +269,9 @@ fn cmd_eval(args: &[String]) -> i32 {
 }
 
 fn cmd_dataset(args: &[String]) -> i32 {
+    if let Err(code) = check_flags("dataset", args, &["--out", "--items", "--seed"], &[]) {
+        return code;
+    }
     let Some(out) = flag_value(args, "--out") else {
         eprintln!("dataset: --out FILE is required");
         return 2;
@@ -255,30 +299,64 @@ fn cmd_dataset(args: &[String]) -> i32 {
     }
 }
 
+/// Every flag `serve` takes; each is followed by a value.
+const SERVE_FLAGS: [&str; 11] = [
+    "--addr",
+    "--persist",
+    "--fsync-every",
+    "--tenant-quota",
+    "--max-in-flight",
+    "--target-p99-ms",
+    "--sched-shares",
+    "--sched-shed-depth",
+    "--edge-max-conns",
+    "--edge-idle-timeout-ms",
+    "--edge-max-keepalive-requests",
+];
+
 fn cmd_serve(args: &[String]) -> i32 {
+    let (platform, server_config) = match serve_setup(args) {
+        Ok(setup) => setup,
+        Err(code) => return code,
+    };
     let addr = flag_value(args, "--addr").unwrap_or("127.0.0.1:7341");
+    let platform = std::sync::Arc::new(platform);
+    if platform.is_durable() {
+        let docs = platform.retriever().documents();
+        println!("durable store: {} document(s) recovered", docs.len());
+    }
+    match llmms::server::Server::start_with(platform, addr, server_config) {
+        Ok(server) => {
+            println!("llmms serving on http://{}", server.addr());
+            println!("  curl http://{}/healthz", server.addr());
+            loop {
+                std::thread::park();
+            }
+        }
+        Err(e) => {
+            eprintln!("serve failed: {e}");
+            1
+        }
+    }
+}
+
+/// The platform and server configuration `serve`'s flags describe, or the
+/// exit code after reporting what is wrong with them.
+fn serve_setup(args: &[String]) -> Result<(Platform, llmms::server::ServerConfig), i32> {
+    check_flags("serve", args, &SERVE_FLAGS, &[])?;
     let platform = if let Some(persist) = flag_value(args, "--persist") {
         let knowledge =
             llmms::eval::generate(&llmms::eval::GeneratorConfig::default()).to_knowledge();
         let mut builder = Platform::builder()
             .knowledge(knowledge)
             .persist_path(persist);
-        if let Some(n) = flag_value(args, "--fsync-every") {
-            match n.parse() {
-                Ok(n) => builder = builder.fsync_every(n),
-                Err(_) => {
-                    eprintln!("serve: --fsync-every expects an integer, got {n:?}");
-                    return 2;
-                }
-            }
+        if let Some(n) = parsed_flag(args, "--fsync-every", "an integer")? {
+            builder = builder.fsync_every(n);
         }
-        match builder.build() {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("serve: failed to open store at {persist:?}: {e}");
-                return 1;
-            }
-        }
+        builder.build().map_err(|e| {
+            eprintln!("serve: failed to open store at {persist:?}: {e}");
+            1
+        })?
     } else {
         Platform::evaluation_default()
     };
@@ -300,31 +378,16 @@ fn cmd_serve(args: &[String]) -> i32 {
             },
             _ => None,
         };
-        match quota {
-            Some(quota) => server_config.admission.default_quota = quota,
-            None => {
-                eprintln!("serve: --tenant-quota expects RATE:BURST:CONCURRENT, got {spec:?}");
-                return 2;
-            }
-        }
+        server_config.admission.default_quota = quota.ok_or_else(|| {
+            eprintln!("serve: --tenant-quota expects RATE:BURST:CONCURRENT, got {spec:?}");
+            2
+        })?;
     }
-    if let Some(n) = flag_value(args, "--max-in-flight") {
-        match n.parse() {
-            Ok(n) => server_config.max_in_flight = n,
-            Err(_) => {
-                eprintln!("serve: --max-in-flight expects an integer, got {n:?}");
-                return 2;
-            }
-        }
+    if let Some(n) = parsed_flag(args, "--max-in-flight", "an integer")? {
+        server_config.max_in_flight = n;
     }
-    if let Some(n) = flag_value(args, "--target-p99-ms") {
-        match n.parse() {
-            Ok(n) => server_config.target_p99_ms = n,
-            Err(_) => {
-                eprintln!("serve: --target-p99-ms expects an integer, got {n:?}");
-                return 2;
-            }
-        }
+    if let Some(n) = parsed_flag(args, "--target-p99-ms", "an integer")? {
+        server_config.target_p99_ms = n;
     }
     if let Some(spec) = flag_value(args, "--sched-shares") {
         // TENANT:WEIGHT[,TENANT:WEIGHT...], e.g. `--sched-shares
@@ -340,88 +403,29 @@ fn cmd_serve(args: &[String]) -> i32 {
                     .map(|w| (tenant.trim(), w)),
                 _ => None,
             };
-            match parsed {
-                Some((tenant, weight)) => llmms::exec::set_tenant_share(tenant, weight),
-                None => {
-                    eprintln!(
-                        "serve: --sched-shares expects TENANT:WEIGHT[,TENANT:WEIGHT...] \
-                         with positive weights, got {pair:?}"
-                    );
-                    return 2;
-                }
-            }
+            let (tenant, weight) = parsed.ok_or_else(|| {
+                eprintln!(
+                    "serve: --sched-shares expects TENANT:WEIGHT[,TENANT:WEIGHT...] \
+                     with positive weights, got {pair:?}"
+                );
+                2
+            })?;
+            llmms::exec::set_tenant_share(tenant, weight);
         }
     }
-    if let Some(n) = flag_value(args, "--sched-shed-depth") {
-        match n.parse() {
-            Ok(n) => server_config.sched_shed_depth = n,
-            Err(_) => {
-                eprintln!("serve: --sched-shed-depth expects an integer, got {n:?}");
-                return 2;
-            }
-        }
+    if let Some(n) = parsed_flag(args, "--sched-shed-depth", "an integer")? {
+        server_config.sched_shed_depth = n;
     }
-    if let Some(name) = flag_value(args, "--transport") {
-        server_config.transport = match name {
-            "edge" => {
-                if !cfg!(target_os = "linux") {
-                    eprintln!("serve: the edge transport is Linux-only");
-                    return 2;
-                }
-                llmms::server::Transport::EventLoop
-            }
-            "threads" => llmms::server::Transport::ThreadPool,
-            other => {
-                eprintln!("serve: --transport expects edge|threads, got {other:?}");
-                return 2;
-            }
-        };
+    if let Some(n) = parsed_flag(args, "--edge-max-conns", "an integer")? {
+        server_config.edge.max_conns = n;
     }
-    if let Some(n) = flag_value(args, "--edge-max-conns") {
-        match n.parse() {
-            Ok(n) => server_config.edge.max_conns = n,
-            Err(_) => {
-                eprintln!("serve: --edge-max-conns expects an integer, got {n:?}");
-                return 2;
-            }
-        }
+    if let Some(ms) = parsed_flag(args, "--edge-idle-timeout-ms", "milliseconds")? {
+        server_config.edge.idle_timeout = std::time::Duration::from_millis(ms);
     }
-    if let Some(n) = flag_value(args, "--edge-idle-timeout-ms") {
-        match n.parse() {
-            Ok(ms) => server_config.edge.idle_timeout = std::time::Duration::from_millis(ms),
-            Err(_) => {
-                eprintln!("serve: --edge-idle-timeout-ms expects milliseconds, got {n:?}");
-                return 2;
-            }
-        }
+    if let Some(n) = parsed_flag(args, "--edge-max-keepalive-requests", "an integer")? {
+        server_config.edge.max_keepalive_requests = n;
     }
-    if let Some(n) = flag_value(args, "--edge-max-keepalive-requests") {
-        match n.parse() {
-            Ok(n) => server_config.edge.max_keepalive_requests = n,
-            Err(_) => {
-                eprintln!("serve: --edge-max-keepalive-requests expects an integer, got {n:?}");
-                return 2;
-            }
-        }
-    }
-    let platform = std::sync::Arc::new(platform);
-    if platform.is_durable() {
-        let docs = platform.retriever().documents();
-        println!("durable store: {} document(s) recovered", docs.len());
-    }
-    match llmms::server::Server::start_with(platform, addr, server_config) {
-        Ok(server) => {
-            println!("llmms serving on http://{}", server.addr());
-            println!("  curl http://{}/healthz", server.addr());
-            loop {
-                std::thread::park();
-            }
-        }
-        Err(e) => {
-            eprintln!("serve failed: {e}");
-            1
-        }
-    }
+    Ok((platform, server_config))
 }
 
 fn cmd_models() -> i32 {

@@ -18,7 +18,7 @@
 //! | "prefer `<model>`" · "prioritize `<model>`" | route single-mode to it |
 //! | "be deterministic" · "temperature 0" | temperature 0 |
 
-use llmms_core::{HybridConfig, MabConfig, OrchestratorConfig, OuaConfig, Strategy};
+use llmms_core::{OrchestratorConfig, Strategy};
 use serde::{Deserialize, Serialize};
 
 /// The parsed effect of an instruction string.
@@ -57,12 +57,8 @@ impl ConfigDirectives {
     /// Apply the directives to an orchestrator config (model-pool effects
     /// are applied separately by the caller, which owns the pool).
     pub fn apply_to(&self, config: &mut OrchestratorConfig) {
-        match self.strategy.as_deref() {
-            Some("oua") => config.strategy = Strategy::Oua(OuaConfig::default()),
-            Some("mab") => config.strategy = Strategy::Mab(MabConfig::default()),
-            Some("hybrid") => config.strategy = Strategy::Hybrid(HybridConfig::default()),
-            Some("single") => config.strategy = Strategy::Single,
-            _ => {}
+        if let Some(strategy) = self.strategy.as_deref().and_then(Strategy::from_name) {
+            config.strategy = strategy;
         }
         if self.prefer_model.is_some() {
             config.strategy = Strategy::Single;

@@ -3,9 +3,7 @@
 
 use crate::platform::{AskOptions, Platform, PlatformError};
 use crossbeam_channel::Sender;
-use llmms_core::{
-    MabConfig, OrchestrationEvent, OrchestrationResult, OrchestratorError, OuaConfig, Strategy,
-};
+use llmms_core::{OrchestrationEvent, OrchestrationResult, OrchestratorError, Strategy};
 use llmms_models::{ModelInfo, UtilizationReport};
 use llmms_server::{
     AppService, GenerateRequest, GenerateResponse, QueryContext, QueryRequest, ServiceError,
@@ -81,17 +79,8 @@ impl AppService for Platform {
     fn configure(&self, strategy: Option<&str>, token_budget: Option<usize>) -> Result<(), String> {
         let mut config = self.orchestrator_config();
         if let Some(name) = strategy {
-            config.strategy = match name {
-                "oua" => Strategy::Oua(OuaConfig::default()),
-                "mab" => Strategy::Mab(MabConfig::default()),
-                "hybrid" => Strategy::Hybrid(llmms_core::HybridConfig::default()),
-                "single" => Strategy::Single,
-                other => {
-                    return Err(format!(
-                        "unknown strategy {other:?} (use oua|mab|hybrid|single)"
-                    ))
-                }
-            };
+            config.strategy = Strategy::from_name(name)
+                .ok_or_else(|| format!("unknown strategy {name:?} (use oua|mab|hybrid|single)"))?;
         }
         if let Some(budget) = token_budget {
             if budget == 0 {
@@ -136,15 +125,8 @@ impl AppService for Platform {
 
     fn config_json(&self) -> serde_json::Value {
         let config = self.orchestrator_config();
-        let strategy = match config.strategy {
-            Strategy::Single => "single",
-            Strategy::Oua(_) => "oua",
-            Strategy::Mab(_) => "mab",
-            Strategy::Routed(_) => "routed",
-            Strategy::Hybrid(_) => "hybrid",
-        };
         json!({
-            "strategy": strategy,
+            "strategy": config.strategy.name(),
             "strategy_label": config.strategy.label(),
             "token_budget": config.token_budget,
             "temperature": config.temperature,

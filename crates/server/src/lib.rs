@@ -37,7 +37,7 @@ pub use admission::{
     AdmissionConfig, AdmissionController, AdmissionPermit, Rejection, TenantQuota, DEFAULT_TENANT,
 };
 pub use remote::RemoteModel;
-pub use server::{EdgeConfig, Server, ServerConfig, Transport};
+pub use server::{EdgeConfig, Server, ServerConfig};
 pub use service::{
     AppService, GenerateRequest, GenerateResponse, QueryContext, QueryRequest, ServiceError,
 };
@@ -491,14 +491,14 @@ mod tests {
     #[test]
     fn full_handoff_queue_is_shed_at_the_acceptor() {
         use std::io::Read;
-        // Thread-pool-specific: the acceptor sheds a *connection* parked in
-        // the handoff queue. The edge parks connections for free and sheds
-        // at the request boundary instead (covered by the edge tests).
-        let server = Server::start_with(
+        // Blocking-transport-specific: the acceptor sheds a *connection*
+        // parked in the handoff queue. The edge parks connections for free
+        // and sheds at the request boundary instead (covered by the edge
+        // tests).
+        let server = Server::start_blocking(
             Arc::new(StubService::new()),
             "127.0.0.1:0",
             server::ServerConfig {
-                transport: server::Transport::ThreadPool,
                 worker_threads: 1,
                 queue_depth: 1,
                 ..server::ServerConfig::default()
@@ -835,17 +835,15 @@ mod tests {
         server.shutdown();
     }
 
-    /// The thread-pool transport must keep working where it is no longer the
-    /// default (it is the portability fallback and the bench baseline).
+    /// The blocking transport must keep working on Linux, where
+    /// `start_with` never picks it (it is what every other platform runs,
+    /// and the bench baseline).
     #[test]
     fn thread_pool_transport_still_serves() {
-        let server = Server::start_with(
+        let server = Server::start_blocking(
             Arc::new(StubService::new()),
             "127.0.0.1:0",
-            server::ServerConfig {
-                transport: server::Transport::ThreadPool,
-                ..server::ServerConfig::default()
-            },
+            server::ServerConfig::default(),
         )
         .unwrap();
         let r = client::request(server.addr(), "GET", "/healthz", None).unwrap();
@@ -876,7 +874,6 @@ mod tests {
         use std::time::Duration;
 
         fn start_edge(config: server::ServerConfig) -> Server {
-            assert_eq!(config.transport, server::Transport::EventLoop);
             Server::start_with(Arc::new(StubService::new()), "127.0.0.1:0", config).unwrap()
         }
 

@@ -4,16 +4,17 @@
 //! Everything from "a parsed [`Request`] plus somewhere to write the
 //! response" down — tracing, shedding, admission, dispatch, metrics — is
 //! transport-agnostic ([`process_parsed`], generic over
-//! [`ResponseSink`]). Two transports feed it:
+//! [`ResponseSink`]). The platform picks the transport that feeds it:
 //!
-//! * [`Transport::EventLoop`] (default on Linux) — the nonblocking epoll
-//!   edge in [`crate::edge`]: readiness-driven connection state machines,
+//! * On Linux, [`Server::start_with`] serves through the nonblocking epoll
+//!   edge in `crate::edge`: readiness-driven connection state machines,
 //!   HTTP keep-alive, and SSE frames drained from a bounded per-connection
 //!   outbox, so thousands of idle or streaming connections cost no
 //!   threads.
-//! * [`Transport::ThreadPool`] — the original blocking accept loop with a
-//!   bounded worker pool, kept as the portability fallback and the bench
-//!   baseline the edge is gated against.
+//! * Everywhere else it serves through [`Server::start_blocking`] — a
+//!   blocking accept loop with a bounded worker pool. It compiles on every
+//!   platform so the Linux test suite and `edge_snapshot`'s baseline leg
+//!   can pin the code the other platforms run.
 
 use crate::admission::{AdmissionConfig, AdmissionController, DEFAULT_TENANT};
 use crate::http::{
@@ -33,28 +34,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Which transport serves connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Transport {
-    /// Nonblocking epoll event loop (`crates/server/src/edge`): connection
-    /// state machines, keep-alive, outbox-buffered SSE. Linux only.
-    EventLoop,
-    /// Blocking accept loop + bounded worker pool; one thread per in-flight
-    /// connection, `Connection: close` always.
-    ThreadPool,
-}
-
-impl Default for Transport {
-    fn default() -> Self {
-        if cfg!(target_os = "linux") {
-            Transport::EventLoop
-        } else {
-            Transport::ThreadPool
-        }
-    }
-}
-
-/// Knobs of the event-driven edge (ignored by [`Transport::ThreadPool`]).
+/// Knobs of the event-driven edge (ignored by [`Server::start_blocking`],
+/// `so_sndbuf` excepted).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EdgeConfig {
     /// Maximum simultaneously open connections; at the cap, fresh accepts
@@ -77,7 +58,7 @@ pub struct EdgeConfig {
     /// sockets; `None` keeps the system default. Honoured by *both*
     /// transports on Linux (so the capacity bench measures the transport
     /// architecture, not kernel buffering): live streams park in the edge
-    /// outbox — or block a thread-pool worker — instead of the kernel.
+    /// outbox — or block a blocking-pool worker — instead of the kernel.
     pub so_sndbuf: Option<usize>,
 }
 
@@ -103,15 +84,15 @@ pub struct ServerConfig {
     /// Maximum concurrently handled requests before new ones are shed with
     /// 503 + `Retry-After` (health and metrics probes are exempt).
     pub max_in_flight: usize,
-    /// Size of the dispatch worker pool. Under [`Transport::ThreadPool`]
-    /// these threads own connections end to end; under
-    /// [`Transport::EventLoop`] they run request handling and SSE
-    /// orchestration for requests the event loop has already parsed, so
-    /// connection count is decoupled from thread count.
+    /// Size of the dispatch worker pool. Behind the blocking transport
+    /// these threads own connections end to end; behind the edge they run
+    /// request handling and SSE orchestration for requests the event loop
+    /// has already parsed, so connection count is decoupled from thread
+    /// count.
     pub worker_threads: usize,
     /// Capacity of the handoff queue in front of the worker pool. When it
     /// is full the transport answers 503 + `Retry-After` itself — at the
-    /// acceptor (thread pool) or at request parse (edge) — so overload is
+    /// acceptor (blocking pool) or at request parse (edge) — so overload is
     /// shed before any dispatch resources exist.
     pub queue_depth: usize,
     /// Per-tenant admission quotas (`X-LLMMS-Tenant` header picks the
@@ -141,9 +122,7 @@ pub struct ServerConfig {
     /// backlog exceeds this. 0 disables the shed (brownout degradation
     /// still applies via `sched_depth_target`).
     pub sched_shed_depth: usize,
-    /// Which transport serves connections.
-    pub transport: Transport,
-    /// Event-loop edge knobs (ignored by [`Transport::ThreadPool`]).
+    /// Event-loop edge knobs.
     pub edge: EdgeConfig,
 }
 
@@ -163,7 +142,6 @@ impl Default for ServerConfig {
             trace_slow_threshold_ms: traces.slow_threshold_ms,
             sched_depth_target: 1024,
             sched_shed_depth: 0,
-            transport: Transport::default(),
             edge: EdgeConfig::default(),
         }
     }
@@ -234,6 +212,35 @@ impl OverloadState {
     }
 }
 
+/// What either transport starts from: the bound listener and the state the
+/// request path shares.
+struct Bound {
+    listener: TcpListener,
+    local: SocketAddr,
+    config: Arc<ServerConfig>,
+    overload: Arc<OverloadState>,
+    stop: Arc<AtomicBool>,
+}
+
+impl Bound {
+    fn new(addr: &str, config: ServerConfig) -> std::io::Result<Self> {
+        let listener = TcpListener::bind(addr)?;
+        let local = listener.local_addr()?;
+        TraceStore::global().configure(TraceStoreConfig {
+            capacity: config.trace_buffer_len,
+            sample_rate: config.trace_sample_rate,
+            slow_threshold_ms: config.trace_slow_threshold_ms,
+        });
+        Ok(Self {
+            listener,
+            local,
+            overload: Arc::new(OverloadState::new(&config)),
+            config: Arc::new(config),
+            stop: Arc::new(AtomicBool::new(false)),
+        })
+    }
+}
+
 /// A running API server. Dropping the handle without calling
 /// [`Server::shutdown`] leaves the listener thread running for the process
 /// lifetime (matching a daemonized deployment); tests call `shutdown`.
@@ -243,7 +250,7 @@ pub struct Server {
     handle: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     /// Wakes the edge event loop so it can observe `stop`; `None` under
-    /// the thread-pool transport (a connect nudge unblocks that acceptor).
+    /// the blocking transport (a connect nudge unblocks that acceptor).
     #[cfg(target_os = "linux")]
     edge_waker: Option<Arc<crate::edge::poller::Waker>>,
 }
@@ -259,7 +266,8 @@ impl Server {
         Server::start_with(service, addr, ServerConfig::default())
     }
 
-    /// [`Server::start`] with explicit [`ServerConfig`].
+    /// [`Server::start`] with explicit [`ServerConfig`]: the epoll edge on
+    /// Linux, [`Server::start_blocking`] elsewhere.
     ///
     /// # Errors
     ///
@@ -269,50 +277,57 @@ impl Server {
         addr: &str,
         config: ServerConfig,
     ) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        TraceStore::global().configure(TraceStoreConfig {
-            capacity: config.trace_buffer_len,
-            sample_rate: config.trace_sample_rate,
-            slow_threshold_ms: config.trace_slow_threshold_ms,
-        });
-        let stop = Arc::new(AtomicBool::new(false));
-        let overload = Arc::new(OverloadState::new(&config));
-        let config = Arc::new(config);
-
         #[cfg(target_os = "linux")]
-        if config.transport == Transport::EventLoop {
-            let parts = crate::edge::start(
-                listener,
-                service,
-                Arc::clone(&config),
-                overload,
-                Arc::clone(&stop),
-            )?;
-            return Ok(Server {
-                addr: local,
-                stop,
-                handle: Some(parts.event_loop),
-                workers: parts.workers,
-                edge_waker: Some(parts.waker),
-            });
-        }
-
-        Self::start_thread_pool(listener, local, service, config, overload, stop)
+        return Server::start_edge(service, addr, config);
+        #[cfg(not(target_os = "linux"))]
+        return Server::start_blocking(service, addr, config);
     }
 
-    /// The blocking transport: accepted connections are pushed onto a
-    /// bounded queue drained by [`ServerConfig::worker_threads`] long-lived
-    /// workers. A full queue is answered 503 by the acceptor itself, so
-    /// overload never translates into unbounded thread creation.
-    fn start_thread_pool<S: AppService>(
-        listener: TcpListener,
-        local: SocketAddr,
+    /// Serve through the epoll event loop in `crate::edge`.
+    #[cfg(target_os = "linux")]
+    fn start_edge<S: AppService>(
         service: Arc<S>,
-        config: Arc<ServerConfig>,
-        overload: Arc<OverloadState>,
-        stop: Arc<AtomicBool>,
+        addr: &str,
+        config: ServerConfig,
     ) -> std::io::Result<Server> {
+        let bound = Bound::new(addr, config)?;
+        let parts = crate::edge::start(
+            bound.listener,
+            service,
+            bound.config,
+            bound.overload,
+            Arc::clone(&bound.stop),
+        )?;
+        Ok(Server {
+            addr: bound.local,
+            stop: bound.stop,
+            handle: Some(parts.event_loop),
+            workers: parts.workers,
+            edge_waker: Some(parts.waker),
+        })
+    }
+
+    /// Serve through the blocking transport, the only one off Linux:
+    /// accepted connections are pushed onto a bounded queue drained by
+    /// [`ServerConfig::worker_threads`] long-lived workers. A full queue is
+    /// answered 503 by the acceptor itself, so overload never translates
+    /// into unbounded thread creation.
+    ///
+    /// # Errors
+    ///
+    /// Bind failures.
+    pub fn start_blocking<S: AppService>(
+        service: Arc<S>,
+        addr: &str,
+        config: ServerConfig,
+    ) -> std::io::Result<Server> {
+        let Bound {
+            listener,
+            local,
+            config,
+            overload,
+            stop,
+        } = Bound::new(addr, config)?;
         let stop_flag = Arc::clone(&stop);
         let (tx, rx) = crossbeam_channel::bounded::<TcpStream>(config.queue_depth.max(1));
         // The vendored Receiver is single-consumer; workers share it behind
