@@ -4,9 +4,15 @@
 //!
 //! * **ingest_us_per_record** — mean wall-clock per upsert, WAL append
 //!   included (the durability tax the RAG ingest path pays);
-//! * **checkpoint_us** — one full snapshot + WAL truncation at the end;
-//! * **recovery_us** — `Database::open` replaying the snapshot + WAL;
+//! * **wal_bytes_per_record** — log growth per upsert (frame header +
+//!   binary record);
+//! * **checkpoint_us** — one full snapshot + sidecar + WAL truncation at
+//!   the end, and **checkpoint_bytes**, what those two files hold;
+//! * **recovery_us** — `Database::open` reading snapshot + sidecar back;
 //! * **recovered_records** — how many records the reopened store holds.
+//!
+//! Records are 384-d — the dimension the platform embeds at — with a
+//! sentence of text and the RAG chunk metadata.
 //!
 //! Writes `BENCH_storage.json` at the given path (default
 //! `BENCH_storage.json` in the working directory).
@@ -21,11 +27,11 @@
 //! (`fsync_every = 1`) — the CI storage gate.
 
 use llmms::embed::Embedding;
-use llmms::vectordb::{CollectionConfig, Database, Record, StorageConfig};
+use llmms::vectordb::{meta, CollectionConfig, Database, Record, StorageConfig};
 use serde_json::json;
 use std::time::Instant;
 
-const DIM: usize = 64;
+const DIM: usize = 384;
 
 /// Deterministic synthetic embedding for record `i`.
 fn synth_embedding(i: usize) -> Embedding {
@@ -38,12 +44,22 @@ fn synth_embedding(i: usize) -> Embedding {
 fn synth_record(i: usize) -> Record {
     Record::new(format!("r{i}"), synth_embedding(i))
         .with_document(format!("synthetic chunk number {i} for the storage bench"))
+        .with_metadata(meta([
+            ("document_id", format!("doc{}", i / 7).into()),
+            ("chunk_index", ((i % 7) as i64).into()),
+        ]))
+}
+
+fn file_len(path: std::path::PathBuf) -> u64 {
+    std::fs::metadata(path).map_or(0, |m| m.len())
 }
 
 struct Case {
     fsync_every: usize,
     ingest_us_per_record: f64,
+    wal_bytes_per_record: f64,
     checkpoint_us: f64,
+    checkpoint_bytes: u64,
     recovery_us: f64,
     recovered_records: usize,
 }
@@ -65,10 +81,12 @@ fn bench_case(dir: &std::path::Path, fsync_every: usize, records: usize) -> Case
     }
     db.flush().expect("flush");
     let ingest_us_per_record = start.elapsed().as_secs_f64() * 1e6 / records as f64;
+    let wal_bytes_per_record = file_len(dir.join("bench.wal")) as f64 / records as f64;
 
     let start = Instant::now();
     db.checkpoint().expect("checkpoint");
     let checkpoint_us = start.elapsed().as_secs_f64() * 1e6;
+    let checkpoint_bytes = file_len(dir.join("bench.snap")) + file_len(dir.join("bench.idx.bin"));
 
     drop(coll);
     drop(db);
@@ -84,7 +102,9 @@ fn bench_case(dir: &std::path::Path, fsync_every: usize, records: usize) -> Case
     Case {
         fsync_every,
         ingest_us_per_record,
+        wal_bytes_per_record,
         checkpoint_us,
+        checkpoint_bytes,
         recovery_us,
         recovered_records,
     }
@@ -103,9 +123,9 @@ fn main() {
         .map(|&fsync_every| {
             let c = bench_case(&dir, fsync_every, records);
             eprintln!(
-                "fsync_every={:<3} ingest {:.1}us/rec checkpoint {:.0}us recovery {:.0}us ({} records)",
-                c.fsync_every, c.ingest_us_per_record, c.checkpoint_us, c.recovery_us,
-                c.recovered_records,
+                "fsync_every={:<3} ingest {:.1}us/rec ({:.0} B/rec) checkpoint {:.0}us ({} B) recovery {:.0}us ({} records)",
+                c.fsync_every, c.ingest_us_per_record, c.wal_bytes_per_record, c.checkpoint_us,
+                c.checkpoint_bytes, c.recovery_us, c.recovered_records,
             );
             c
         })
@@ -149,7 +169,9 @@ fn main() {
         "cases": cases.iter().map(|c| json!({
             "fsync_every": c.fsync_every,
             "ingest_us_per_record": c.ingest_us_per_record,
+            "wal_bytes_per_record": c.wal_bytes_per_record,
             "checkpoint_us": c.checkpoint_us,
+            "checkpoint_bytes": c.checkpoint_bytes,
             "recovery_us": c.recovery_us,
             "recovered_records": c.recovered_records,
         })).collect::<Vec<_>>(),

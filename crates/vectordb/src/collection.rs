@@ -4,12 +4,14 @@
 use crate::error::DbError;
 use crate::filter::Filter;
 use crate::index::{HnswConfig, IndexKind, InternalId, VectorIndex};
-use crate::metadata::Metadata;
+use crate::metadata::{MetaValue, Metadata};
+use crate::persist::{self, Snapshot};
 use crate::segment::{SegmentConfig, SegmentedIndex};
 use crate::wal::{CollectionStorage, WalOp};
 use llmms_embed::{Embedding, Metric};
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::io;
 
 /// Configuration a collection is created with.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -102,51 +104,21 @@ pub struct QueryResult {
 }
 
 /// A named, indexed set of records.
-#[derive(Serialize)]
 pub struct Collection {
     name: String,
     config: CollectionConfig,
     records: HashMap<InternalId, Record>,
     id_map: HashMap<String, InternalId>,
+    /// `key → string value → internal ids` (ascending) for every
+    /// string-valued metadata entry of a live record. Derived state: only
+    /// [`Collection::apply_upsert`] and [`Collection::apply_delete`] touch
+    /// it, so snapshot load and WAL replay rebuild it and nothing persists.
+    postings: HashMap<String, HashMap<String, Vec<InternalId>>>,
     index: SegmentedIndex,
     next_internal: InternalId,
     /// Durability state (WAL + snapshot paths) when the owning database is
-    /// persistent; `None` for in-memory collections. Not part of the
-    /// serialized snapshot.
-    #[serde(skip)]
+    /// persistent; `None` for in-memory collections.
     storage: Option<CollectionStorage>,
-    /// Set when a snapshot was deserialized without its `index` field (the
-    /// checkpoint path persists it as a binary sidecar instead). The index
-    /// is empty and unusable until [`Collection::install_index`] (sidecar
-    /// read back) or [`Collection::rebuild_index_from_records`] runs.
-    #[serde(skip)]
-    pending_index_rebuild: bool,
-}
-
-/// The snapshot body mirrors the derived layout, except `index` may be
-/// absent: durable checkpoints strip it from the JSON and persist it as a
-/// binary sidecar (`crate::persist`), which recovery installs separately.
-impl Deserialize for Collection {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        let get = |key: &str| -> Result<&Value, Error> {
-            value.get(key).ok_or_else(|| Error::missing_field(key))
-        };
-        let config = CollectionConfig::deserialize(get("config")?)?;
-        let (index, pending_index_rebuild) = match value.get("index") {
-            Some(v) => (SegmentedIndex::deserialize(v)?, false),
-            None => (Self::fresh_index(&config), true),
-        };
-        Ok(Self {
-            name: String::deserialize(get("name")?)?,
-            config,
-            records: Deserialize::deserialize(get("records")?)?,
-            id_map: Deserialize::deserialize(get("id_map")?)?,
-            index,
-            next_internal: InternalId::deserialize(get("next_internal")?)?,
-            storage: None,
-            pending_index_rebuild,
-        })
-    }
 }
 
 impl Collection {
@@ -158,10 +130,10 @@ impl Collection {
             config,
             records: HashMap::new(),
             id_map: HashMap::new(),
+            postings: HashMap::new(),
             index,
             next_internal: 0,
             storage: None,
-            pending_index_rebuild: false,
         }
     }
 
@@ -175,10 +147,40 @@ impl Collection {
         )
     }
 
-    /// Whether this collection still needs its index installed or rebuilt
-    /// (see the `Deserialize` impl).
-    pub(crate) fn index_pending_rebuild(&self) -> bool {
-        self.pending_index_rebuild
+    /// Rebuild a collection from a decoded snapshot. Its index is empty:
+    /// the caller follows with [`Collection::install_index`] (sidecar read
+    /// back) or [`Collection::rebuild_index_from_records`].
+    pub(crate) fn from_snapshot(snapshot: Snapshot) -> Self {
+        let mut collection = Self::new(snapshot.name, snapshot.config);
+        collection.next_internal = snapshot.next_internal;
+        for (internal, record) in snapshot.records {
+            collection.insert_record(internal, record);
+        }
+        collection
+    }
+
+    /// Stream this collection's snapshot (records in internal-id order)
+    /// into `out`; returns the bytes written.
+    pub(crate) fn write_snapshot(&self, out: impl io::Write, last_seq: u64) -> io::Result<u64> {
+        let ids = self.sorted_internal_ids();
+        persist::write_snapshot(
+            out,
+            last_seq,
+            &self.name,
+            &self.config,
+            self.next_internal,
+            ids.iter().map(|id| (*id, &self.records[id])),
+        )
+    }
+
+    fn sorted_internal_ids(&self) -> Vec<InternalId> {
+        let mut ids: Vec<InternalId> = self.records.keys().copied().collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    pub(crate) fn index(&self) -> &SegmentedIndex {
+        &self.index
     }
 
     /// Install an index read back from the binary sidecar — the reopen fast
@@ -186,7 +188,6 @@ impl Collection {
     /// the snapshot this collection came from.
     pub(crate) fn install_index(&mut self, index: SegmentedIndex) {
         self.index = index;
-        self.pending_index_rebuild = false;
     }
 
     /// Rebuild the index from live records in internal-id order — the slow
@@ -195,13 +196,10 @@ impl Collection {
     /// of the lost index: same live vectors, same ids, deterministic.
     pub(crate) fn rebuild_index_from_records(&mut self) {
         let mut index = Self::fresh_index(&self.config);
-        let mut ids: Vec<InternalId> = self.records.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
+        for id in self.sorted_internal_ids() {
             index.insert(id, self.records[&id].embedding.as_slice());
         }
         self.index = index;
-        self.pending_index_rebuild = false;
     }
 
     /// Attach durability state (recovery and persistent-database wiring).
@@ -257,15 +255,11 @@ impl Collection {
     /// already done). Replace = delete old + insert new (ids inside indexes
     /// are never reused, matching the tombstone design).
     pub(crate) fn apply_upsert(&mut self, record: Record) {
-        if let Some(&old) = self.id_map.get(&record.id) {
-            self.index.remove(old);
-            self.records.remove(&old);
-        }
+        self.apply_delete(&record.id);
         let internal = self.next_internal;
         self.next_internal += 1;
         self.index.insert(internal, record.embedding.as_slice());
-        self.id_map.insert(record.id.clone(), internal);
-        self.records.insert(internal, record);
+        self.insert_record(internal, record);
     }
 
     /// Apply a delete to in-memory state only; `false` when absent.
@@ -274,8 +268,38 @@ impl Collection {
             return false;
         };
         self.index.remove(internal);
-        self.records.remove(&internal);
+        let record = self
+            .records
+            .remove(&internal)
+            .expect("id_map entry has a record");
+        for (key, value) in string_entries(&record.metadata) {
+            let values = self.postings.get_mut(key).expect("posted on insert");
+            let ids = values.get_mut(value).expect("posted on insert");
+            // Internal ids only grow, so every list is ascending.
+            ids.remove(ids.binary_search(&internal).expect("posted on insert"));
+            if ids.is_empty() {
+                values.remove(value);
+                if values.is_empty() {
+                    self.postings.remove(key);
+                }
+            }
+        }
         true
+    }
+
+    /// Record-side bookkeeping of an insert (everything but the index):
+    /// `internal` must exceed every internal id inserted before it.
+    fn insert_record(&mut self, internal: InternalId, record: Record) {
+        for (key, value) in string_entries(&record.metadata) {
+            self.postings
+                .entry(key.to_owned())
+                .or_default()
+                .entry(value.to_owned())
+                .or_default()
+                .push(internal);
+        }
+        self.id_map.insert(record.id.clone(), internal);
+        self.records.insert(internal, record);
     }
 
     /// Insert or replace a record by id. On durable collections the record
@@ -365,12 +389,24 @@ impl Collection {
     /// [`DbError::Persistence`] when the write-ahead append fails (memory
     /// is then unchanged).
     pub fn delete_matching(&mut self, filter: &Filter) -> Result<usize, DbError> {
-        let ids: Vec<String> = self
-            .records
-            .values()
-            .filter(|r| filter.matches(&r.metadata))
-            .map(|r| r.id.clone())
-            .collect();
+        let ids: Vec<String> = match filter {
+            // Equality on a string value is answered from the postings —
+            // O(matches), which is what re-ingesting one document needs.
+            Filter::Eq(key, MetaValue::Str(value)) => self
+                .postings
+                .get(key)
+                .and_then(|values| values.get(value))
+                .into_iter()
+                .flatten()
+                .map(|internal| self.records[internal].id.clone())
+                .collect(),
+            _ => self
+                .records
+                .values()
+                .filter(|r| filter.matches(&r.metadata))
+                .map(|r| r.id.clone())
+                .collect(),
+        };
         if ids.is_empty() {
             return Ok(0);
         }
@@ -396,27 +432,11 @@ impl Collection {
     ///
     /// [`DbError::Persistence`] on I/O or serialization failure.
     pub fn checkpoint(&mut self) -> Result<(), DbError> {
+        // Detached so the storage can read `self` while it writes.
         let Some(mut storage) = self.storage.take() else {
             return Ok(());
         };
-        // `storage` is detached so serializing `self` (which skips the
-        // field anyway) cannot alias the mutable borrow below.
-        let result = serde_json::to_value(&*self)
-            .map_err(|e| DbError::Persistence(e.to_string()))
-            .and_then(|mut collection| {
-                // The index goes into the binary sidecar, not the JSON:
-                // reopen then *reads* graphs and code arenas back instead
-                // of rebuilding them, and the JSON stays record-sized.
-                if let serde_json::Value::Object(obj) = &mut collection {
-                    obj.remove("index");
-                }
-                let index_blob = crate::persist::encode_index(&self.index, storage.last_seq());
-                let snapshot = serde_json::json!({
-                    "last_seq": storage.last_seq(),
-                    "collection": collection,
-                });
-                storage.checkpoint(&snapshot.to_string(), &index_blob, &self.name, &self.config)
-            });
+        let result = storage.checkpoint(self);
         self.storage = Some(storage);
         result
     }
@@ -520,6 +540,7 @@ impl Collection {
         // Deterministic rebuild order.
         records.sort_by(|a, b| a.id.cmp(&b.id));
         self.id_map.clear();
+        self.postings.clear();
         self.index = Self::fresh_index(&self.config);
         self.next_internal = 0;
         // Rebuild through the no-log apply path: compaction changes no
@@ -567,6 +588,13 @@ impl Collection {
             tombstones: slots - live,
         }
     }
+}
+
+/// The string-valued entries of `metadata` — the ones the postings index.
+fn string_entries(metadata: &Metadata) -> impl Iterator<Item = (&str, &str)> {
+    metadata
+        .iter()
+        .filter_map(|(key, value)| Some((key.as_str(), value.as_str()?)))
 }
 
 /// Snapshot statistics of a collection.
@@ -707,13 +735,22 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip() {
+    fn snapshot_roundtrip() {
         let c = sample();
-        let json = serde_json::to_string(&c).unwrap();
-        let back: Collection = serde_json::from_str(&json).unwrap();
+        let mut bytes = Vec::new();
+        c.write_snapshot(&mut bytes, 9).unwrap();
+        let snapshot = persist::decode_snapshot(&bytes).unwrap();
+        assert_eq!(snapshot.last_seq, 9);
+        let mut back = Collection::from_snapshot(snapshot);
+        back.rebuild_index_from_records();
         assert_eq!(back.len(), 3);
         let hits = back.query(&emb(&[1.0, 0.05]), 1, None).unwrap();
         assert_eq!(hits[0].id, "a");
+        // Postings are derived on load, not persisted.
+        assert_eq!(
+            back.delete_matching(&Filter::eq_str("category", "science")),
+            Ok(2)
+        );
     }
 }
 

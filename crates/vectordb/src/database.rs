@@ -1,10 +1,11 @@
 //! The top-level [`Database`]: a set of named collections behind a lock,
-//! with JSON snapshot persistence — the workspace's stand-in for a ChromaDB
-//! server instance.
+//! in memory or durable under a directory — the workspace's stand-in for a
+//! ChromaDB server instance.
 
 use crate::collection::{Collection, CollectionConfig};
 use crate::error::DbError;
-use crate::wal::{self, CollectionStorage, SnapshotFile, StorageConfig, WalOp};
+use crate::persist;
+use crate::wal::{self, CollectionStorage, Paths, StorageConfig, WalOp};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -16,8 +17,7 @@ use std::sync::Arc;
 /// collections never contend. The thesis runs ChromaDB "within an isolated
 /// read-only Docker container" whose contents are discarded after the
 /// session; [`Database`] likewise defaults to in-memory operation, with
-/// explicit [`Database::save`]/[`Database::load`] snapshots when persistence
-/// is wanted.
+/// [`Database::open`] when persistence is wanted.
 #[derive(Default)]
 pub struct Database {
     collections: RwLock<HashMap<String, Arc<RwLock<Collection>>>>,
@@ -49,7 +49,11 @@ impl Database {
     /// # Errors
     ///
     /// [`DbError::Persistence`] on I/O failures (unreadable directory,
-    /// unwritable WAL). Torn or corrupt log *tails* are not errors.
+    /// unwritable WAL) and on files that are *wrong* rather than torn: a
+    /// snapshot that does not verify, a checksummed WAL frame that does not
+    /// decode, or files in the JSON format of earlier releases. The error
+    /// names the file, and nothing on disk is changed. Torn log *tails* are
+    /// not errors.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, DbError> {
         Self::open_with(path, StorageConfig::default())
     }
@@ -66,14 +70,21 @@ impl Database {
         let mut map = HashMap::new();
         let entries = std::fs::read_dir(&dir)
             .map_err(|e| DbError::Persistence(format!("read {}: {e}", dir.display())))?;
-        // One recovery unit per `<base>.wal` / `<base>.snap.json` pair.
+        // One recovery unit per `<base>.wal` / `<base>.snap` pair.
         let mut bases: Vec<String> = Vec::new();
         for entry in entries {
             let entry = entry.map_err(|e| DbError::Persistence(e.to_string()))?;
             let file = entry.file_name().to_string_lossy().into_owned();
+            if file.ends_with(".snap.json") {
+                return Err(DbError::Persistence(format!(
+                    "{}: {}",
+                    entry.path().display(),
+                    persist::OLD_SNAPSHOT_FORMAT
+                )));
+            }
             let base = file
                 .strip_suffix(".wal")
-                .or_else(|| file.strip_suffix(".snap.json"));
+                .or_else(|| file.strip_suffix(".snap"));
             if let Some(base) = base {
                 if !bases.iter().any(|b| b == base) {
                     bases.push(base.to_owned());
@@ -165,12 +176,11 @@ impl Database {
             .map(|_| ())
             .ok_or_else(|| DbError::CollectionNotFound(name.to_owned()))?;
         if let Some(durable) = &self.durable {
-            let base = wal::encode_name(name);
-            std::fs::remove_file(durable.dir.join(format!("{base}.wal"))).ok();
-            std::fs::remove_file(durable.dir.join(format!("{base}.snap.json"))).ok();
-            std::fs::remove_file(durable.dir.join(format!("{base}.snap.tmp"))).ok();
-            std::fs::remove_file(durable.dir.join(format!("{base}.idx.bin"))).ok();
-            std::fs::remove_file(durable.dir.join(format!("{base}.idx.tmp"))).ok();
+            let paths = Paths::of(&durable.dir, &wal::encode_name(name));
+            for path in [paths.wal, paths.snapshot, paths.index] {
+                std::fs::remove_file(&path).ok();
+                std::fs::remove_file(wal::tmp_path(&path)).ok();
+            }
         }
         Ok(())
     }
@@ -222,44 +232,6 @@ impl Database {
     /// Whether the database holds no collections.
     pub fn is_empty(&self) -> bool {
         self.collections.read().is_empty()
-    }
-
-    /// Serialize the whole database to a JSON string.
-    ///
-    /// # Errors
-    ///
-    /// [`DbError::Persistence`] on serialization failure.
-    pub fn snapshot(&self) -> Result<String, DbError> {
-        let map = self.collections.read();
-        let mut ordered: Vec<(&String, &Arc<RwLock<Collection>>)> = map.iter().collect();
-        ordered.sort_by_key(|(name, _)| (*name).clone());
-        let mut out = serde_json::Map::new();
-        for (name, coll) in ordered {
-            let value = serde_json::to_value(&*coll.read())
-                .map_err(|e| DbError::Persistence(e.to_string()))?;
-            out.insert(name.clone(), value);
-        }
-        serde_json::to_string(&out).map_err(|e| DbError::Persistence(e.to_string()))
-    }
-
-    /// Restore a database from a [`Database::snapshot`] string.
-    ///
-    /// # Errors
-    ///
-    /// [`DbError::Persistence`] on malformed input.
-    pub fn restore(snapshot: &str) -> Result<Self, DbError> {
-        let raw: serde_json::Map<String, serde_json::Value> =
-            serde_json::from_str(snapshot).map_err(|e| DbError::Persistence(e.to_string()))?;
-        let db = Self::new();
-        {
-            let mut map = db.collections.write();
-            for (name, value) in raw {
-                let coll: Collection = serde_json::from_value(value)
-                    .map_err(|e| DbError::Persistence(e.to_string()))?;
-                map.insert(name, Arc::new(RwLock::new(coll)));
-            }
-        }
-        Ok(db)
     }
 
     /// Run one sweep of segment compaction across all collections: each
@@ -314,27 +286,6 @@ impl Database {
             handle: Some(handle),
         }
     }
-
-    /// Write a snapshot to `path`.
-    ///
-    /// # Errors
-    ///
-    /// [`DbError::Persistence`] on I/O or serialization failure.
-    pub fn save(&self, path: &Path) -> Result<(), DbError> {
-        let snapshot = self.snapshot()?;
-        std::fs::write(path, snapshot).map_err(|e| DbError::Persistence(e.to_string()))
-    }
-
-    /// Load a database from a snapshot file.
-    ///
-    /// # Errors
-    ///
-    /// [`DbError::Persistence`] on I/O or deserialization failure.
-    pub fn load(path: &Path) -> Result<Self, DbError> {
-        let snapshot =
-            std::fs::read_to_string(path).map_err(|e| DbError::Persistence(e.to_string()))?;
-        Self::restore(&snapshot)
-    }
 }
 
 /// Handle to the background segment compactor spawned by
@@ -355,7 +306,7 @@ impl Drop for CompactorHandle {
     }
 }
 
-/// Recover one collection from `<base>.snap.json` + `<base>.wal`: load the
+/// Recover one collection from `<base>.snap` + `<base>.wal`: load the
 /// snapshot if present, replay every WAL frame whose sequence number the
 /// snapshot does not cover, truncate any torn tail, and reattach live
 /// storage. Returns `None` when neither file yields a usable collection
@@ -365,41 +316,29 @@ fn recover_collection(
     base: &str,
     config: &StorageConfig,
 ) -> Result<Option<(String, Collection)>, DbError> {
-    let snap_path = dir.join(format!("{base}.snap.json"));
-    let wal_path = dir.join(format!("{base}.wal"));
+    let paths = Paths::of(dir, base);
 
     let mut last_seq: Option<u64> = None;
     let mut collection: Option<Collection> = None;
-    match std::fs::read_to_string(&snap_path) {
-        Ok(text) => {
-            // A torn snapshot (crash mid-write before the atomic rename
-            // could only leave a .tmp, but be defensive) falls back to
-            // WAL-only recovery.
-            if let Ok(snap) = serde_json::from_str::<SnapshotFile>(&text) {
-                last_seq = Some(snap.last_seq);
-                collection = Some(snap.collection);
-            }
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-        Err(e) => {
-            return Err(DbError::Persistence(format!(
-                "read {}: {e}",
-                snap_path.display()
-            )))
-        }
-    }
-
-    // The checkpoint persisted the index separately as a binary sidecar;
-    // install it when it is exactly as new as the snapshot (the embedded
-    // sequence numbers must agree), otherwise fall back to rebuilding the
-    // index from the snapshot's records. Either way the WAL suffix below
-    // replays on top.
-    if let Some(c) = &mut collection {
-        if c.index_pending_rebuild() {
-            let idx_path = dir.join(format!("{base}.idx.bin"));
-            let reopened = std::fs::read(&idx_path)
+    match std::fs::read(&paths.snapshot) {
+        Ok(bytes) => {
+            // Snapshots are installed by rename, so one that does not verify
+            // was never torn: it is damaged or foreign. Falling back to the
+            // WAL would open the collection without its checkpointed records
+            // and the next checkpoint would make that permanent.
+            let snapshot = persist::decode_snapshot(&bytes)
+                .map_err(|e| persist::in_file(paths.snapshot.display(), e))?;
+            drop(bytes);
+            last_seq = Some(snapshot.last_seq);
+            let mut c = Collection::from_snapshot(snapshot);
+            // The checkpoint persisted the index separately as a binary
+            // sidecar; install it when it is exactly as new as the snapshot
+            // (the embedded sequence numbers must agree), otherwise rebuild
+            // the index from the snapshot's records. Either way the WAL
+            // suffix below replays on top.
+            let reopened = std::fs::read(&paths.index)
                 .ok()
-                .and_then(|bytes| crate::persist::decode_index(&bytes).ok())
+                .and_then(|bytes| persist::decode_index(&bytes).ok())
                 .filter(|(seq, _)| Some(*seq) == last_seq)
                 .map(|(_, index)| c.install_index(index))
                 .is_some();
@@ -415,10 +354,18 @@ fn recover_collection(
                 };
                 registry.counter(counter).metric.inc();
             }
+            collection = Some(c);
+        }
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+        Err(e) => {
+            return Err(DbError::Persistence(format!(
+                "read {}: {e}",
+                paths.snapshot.display()
+            )))
         }
     }
 
-    let replayed = wal::replay(&wal_path)?;
+    let replayed = wal::replay(&paths.wal)?;
     let mut max_seq = last_seq;
     let mut applied: u64 = 0;
     for (seq, op) in replayed.frames {
@@ -467,8 +414,7 @@ fn recover_collection(
         return Ok(None);
     };
     let name = collection.name().to_owned();
-    let storage =
-        CollectionStorage::reattach(dir, &name, config, replayed.good_len, max_seq.unwrap_or(0))?;
+    let storage = CollectionStorage::reattach(dir, &name, config, replayed.good_len, max_seq)?;
     collection.attach_storage(storage);
     Ok(Some((name, collection)))
 }
@@ -522,48 +468,6 @@ mod tests {
             db.create_collection(n, CollectionConfig::flat(2)).unwrap();
         }
         assert_eq!(db.list_collections(), ["alpha", "mid", "zeta"]);
-    }
-
-    #[test]
-    fn snapshot_restore_roundtrip() {
-        let db = Database::new();
-        let coll = db
-            .create_collection("docs", CollectionConfig::flat(2))
-            .unwrap();
-        coll.write()
-            .upsert(Record::new("a", emb(&[1.0, 0.0])).with_document("hello"))
-            .unwrap();
-        let snap = db.snapshot().unwrap();
-        let back = Database::restore(&snap).unwrap();
-        let coll = back.collection("docs").unwrap();
-        let guard = coll.read();
-        assert_eq!(guard.len(), 1);
-        assert_eq!(guard.get("a").unwrap().document.as_deref(), Some("hello"));
-    }
-
-    #[test]
-    fn save_load_roundtrip() {
-        let dir = std::env::temp_dir().join("llmms-vectordb-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("snap.json");
-        let db = Database::new();
-        db.create_collection("c", CollectionConfig::hnsw(2))
-            .unwrap()
-            .write()
-            .upsert(Record::new("r", emb(&[0.5, 0.5])))
-            .unwrap();
-        db.save(&path).unwrap();
-        let back = Database::load(&path).unwrap();
-        assert_eq!(back.collection("c").unwrap().read().len(), 1);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn restore_of_garbage_fails() {
-        assert!(matches!(
-            Database::restore("not json"),
-            Err(DbError::Persistence(_))
-        ));
     }
 
     #[test]

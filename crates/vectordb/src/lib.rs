@@ -11,11 +11,11 @@
 //! * metadata `where`-filters ([`Filter`]);
 //! * an exact [`index::FlatIndex`] and an approximate [`index::HnswIndex`]
 //!   (the index family Chroma uses);
-//! * JSON snapshot persistence ([`Database::save`] / [`Database::load`]);
 //! * crash-safe durability ([`Database::open`]): a per-collection
-//!   write-ahead log with checksummed frames and fsync batching, periodic
-//!   snapshots with log truncation, and prefix-consistent recovery that
-//!   tolerates a torn tail (see [`wal`]).
+//!   write-ahead log with checksummed binary frames and fsync batching,
+//!   periodic streamed snapshots with log truncation, and prefix-consistent
+//!   recovery that tolerates a torn tail but refuses a wrong file (see
+//!   [`wal`]).
 //!
 //! ## Example
 //!

@@ -4,8 +4,9 @@
 //! The thesis backs its RAG pipeline with ChromaDB, a *persistent* store;
 //! this module gives [`crate::Database`] the same property. Every mutation
 //! is framed, checksummed and appended to `<collection>.wal` *before* it is
-//! applied in memory; a full JSON snapshot (`<collection>.snap.json`) is
-//! rewritten periodically, after which the log is truncated and restarted.
+//! applied in memory; a full binary snapshot (`<collection>.snap`, layout in
+//! `persist.rs`) is rewritten periodically, after which the log is truncated
+//! and restarted.
 //!
 //! ## Frame format
 //!
@@ -13,25 +14,29 @@
 //! [len: u32 LE][crc: u32 LE][seq: u64 LE][payload: len - 8 bytes]
 //! ```
 //!
-//! `len` counts the `seq` field plus the JSON payload; `crc` is CRC-32
-//! (IEEE) over those same bytes. `seq` increases monotonically across the
+//! `len` counts the `seq` field plus the payload (an op tag and the binary
+//! record codec of `persist.rs`); `crc` is CRC-32 (IEEE) over those same
+//! bytes. `seq` increases monotonically across the
 //! life of a collection — snapshots record the last applied sequence number
 //! so replay after an un-truncated (crashed) checkpoint skips frames the
 //! snapshot already contains.
 //!
 //! ## Recovery contract
 //!
-//! [`replay`] reads frames until the first short read, oversized length,
-//! checksum mismatch or undecodable payload, and reports the byte length of
-//! the valid prefix. A torn tail — a crash mid-append at *any* byte offset —
-//! therefore loses at most the ops that were never fully written: recovery
-//! is prefix-consistent with the committed operation sequence.
+//! [`replay`] reads frames until the first short read, oversized length or
+//! checksum mismatch, and reports the byte length of the valid prefix. A
+//! torn tail — a crash mid-append at *any* byte offset — therefore loses at
+//! most the ops that were never fully written: recovery is prefix-consistent
+//! with the committed operation sequence. A frame whose checksum holds but
+//! whose payload does not decode is not torn but *wrong* (another format, a
+//! bug): replay fails naming the file, and nothing is truncated.
 
 use crate::collection::{Collection, CollectionConfig, Record};
 use crate::error::DbError;
+use crate::persist;
 use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -66,7 +71,7 @@ impl Default for StorageConfig {
 /// One logged operation. `Create` opens every WAL generation so a
 /// collection that has never been snapshotted can still be rebuilt from its
 /// log alone.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WalOp {
     /// Collection created (or WAL generation restarted after a snapshot).
     Create {
@@ -87,49 +92,79 @@ pub enum WalOp {
     },
 }
 
-/// CRC-32 (IEEE 802.3) over `bytes` — the frame checksum.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    // Nibble-driven table: 16 entries, built once.
-    const POLY: u32 = 0xEDB8_8320;
-    const TABLE: [u32; 16] = {
-        let mut table = [0u32; 16];
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-8 tables: `CRC_TABLES[0]` is the classic byte table,
+/// `CRC_TABLES[k][b]` the CRC of byte `b` followed by `k` zero bytes.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ CRC_POLY
+            } else {
+                crc >> 1
+            };
+            bit += 1;
+        }
+        tables[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
         let mut i = 0;
-        while i < 16 {
-            let mut crc = i as u32;
-            let mut bit = 0;
-            while bit < 4 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ POLY
-                } else {
-                    crc >> 1
-                };
-                bit += 1;
-            }
-            table[i] = crc;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
             i += 1;
         }
-        table
-    };
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc = (crc >> 4) ^ TABLE[((crc ^ b as u32) & 0xF) as usize];
-        crc = (crc >> 4) ^ TABLE[((crc ^ (b as u32 >> 4)) & 0xF) as usize];
+        k += 1;
     }
-    !crc
+    tables
+};
+
+/// Fold `bytes` into a running (pre-inverted) CRC-32 state, eight bytes per
+/// step. Start from `!0` and invert the result; see [`crc32`].
+pub(crate) fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
+    }
+    crc
 }
 
-/// Encode one frame: length + checksum header, sequence number, payload.
-fn encode_frame(seq: u64, payload: &[u8]) -> Vec<u8> {
-    let len = 8 + payload.len() as u32;
-    let mut body = Vec::with_capacity(8 + payload.len());
-    body.extend_from_slice(&seq.to_le_bytes());
-    body.extend_from_slice(payload);
-    let crc = crc32(&body);
-    let mut out = Vec::with_capacity(8 + body.len());
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&crc.to_le_bytes());
-    out.extend_from_slice(&body);
-    out
+/// CRC-32 (IEEE 802.3) over `bytes` — the frame and file checksum.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    !crc32_update(!0, bytes)
+}
+
+/// Append one frame for `op` to `buf`: length + checksum header, sequence
+/// number, payload — encoded in place, then the header is patched in.
+fn encode_frame(buf: &mut Vec<u8>, seq: u64, op: &WalOp) {
+    let header = buf.len();
+    buf.extend_from_slice(&[0u8; 8]);
+    buf.extend_from_slice(&seq.to_le_bytes());
+    persist::encode_op(op, buf);
+    let body = &buf[header + 8..];
+    let (len, crc) = (body.len() as u32, crc32(body));
+    buf[header..header + 4].copy_from_slice(&len.to_le_bytes());
+    buf[header + 4..header + 8].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// The result of replaying a WAL file.
@@ -144,14 +179,15 @@ pub(crate) struct Replayed {
 
 /// Read every fully-committed frame of the log at `path`.
 ///
-/// Corruption at any point — short header, absurd length, checksum
-/// mismatch, undecodable payload — ends the replay at the last good frame
-/// rather than failing, implementing prefix-consistent recovery.
+/// A torn write — short header, absurd length, checksum mismatch — ends the
+/// replay at the last good frame rather than failing, implementing
+/// prefix-consistent recovery.
 ///
 /// # Errors
 ///
-/// Only genuine I/O failures opening or reading the file (a missing file is
-/// an empty log, not an error).
+/// I/O failures opening or reading the file (a missing file is an empty
+/// log, not an error), and a checksummed frame whose payload does not
+/// decode: that log is wrong, not torn, and must not be truncated.
 pub(crate) fn replay(path: &Path) -> Result<Replayed, DbError> {
     let bytes = match std::fs::read(path) {
         Ok(b) => b,
@@ -184,12 +220,8 @@ pub(crate) fn replay(path: &Path) -> Result<Replayed, DbError> {
             break; // corrupt frame
         }
         let seq = u64::from_le_bytes(body[0..8].try_into().expect("8 bytes"));
-        let Ok(op) = std::str::from_utf8(&body[8..])
-            .map_err(|_| ())
-            .and_then(|s| serde_json::from_str::<WalOp>(s).map_err(|_| ()))
-        else {
-            break; // checksum collided with garbage; treat as torn
-        };
+        let op = persist::decode_op(&body[8..])
+            .map_err(|e| persist::in_file(format_args!("{} frame seq {seq}", path.display()), e))?;
         pos += 8 + len;
         good = pos;
         frames.push((seq, op));
@@ -256,9 +288,7 @@ impl Wal {
     fn append_batch_inner(&mut self, ops: &[&WalOp]) -> Result<u64, DbError> {
         let mut buf = Vec::new();
         for op in ops {
-            let payload =
-                serde_json::to_string(op).map_err(|e| DbError::Persistence(e.to_string()))?;
-            buf.extend_from_slice(&encode_frame(self.next_seq, payload.as_bytes()));
+            encode_frame(&mut buf, self.next_seq, op);
             self.next_seq += 1;
         }
         // Appends are positioned writes at the tracked end of the valid
@@ -309,30 +339,31 @@ impl Wal {
     }
 }
 
-/// On-disk form of a snapshot: the serialized collection plus the last
-/// WAL sequence number its state includes, so replay can skip frames that
-/// survived an interrupted log truncation.
-#[derive(Serialize, Deserialize)]
-pub(crate) struct SnapshotFile {
-    /// Last WAL sequence number applied to `collection`.
-    pub last_seq: u64,
-    /// The full collection state.
-    pub collection: Collection,
+/// Fill `path` through `write` via tmp + fsync + rename so readers see
+/// either the old complete file or the new one, never a torn mix. Returns
+/// what `write` returns (the byte count).
+fn write_atomic(
+    path: &Path,
+    write: impl FnOnce(&mut File) -> io::Result<u64>,
+) -> Result<u64, DbError> {
+    let tmp = tmp_path(path);
+    let written = File::create(&tmp)
+        .and_then(|mut f| {
+            let written = write(&mut f)?;
+            f.sync_data()?;
+            Ok(written)
+        })
+        .map_err(|e| DbError::Persistence(format!("write {}: {e}", tmp.display())))?;
+    std::fs::rename(&tmp, path)
+        .map_err(|e| DbError::Persistence(format!("rename {}: {e}", path.display())))?;
+    Ok(written)
 }
 
-/// Write `bytes` to `path` via tmp + fsync + rename so readers see either
-/// the old complete file or the new one, never a torn mix.
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), DbError> {
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = File::create(&tmp)
-            .map_err(|e| DbError::Persistence(format!("create {}: {e}", tmp.display())))?;
-        f.write_all(bytes)
-            .and_then(|()| f.sync_data())
-            .map_err(|e| DbError::Persistence(format!("write {}: {e}", tmp.display())))?;
-    }
-    std::fs::rename(&tmp, path)
-        .map_err(|e| DbError::Persistence(format!("rename {}: {e}", path.display())))
+/// Where [`write_atomic`] stages `path`: the same name plus `.tmp`.
+pub(crate) fn tmp_path(path: &Path) -> PathBuf {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    PathBuf::from(tmp)
 }
 
 /// Encode a collection name into a filesystem-safe base name: ASCII
@@ -349,13 +380,29 @@ pub(crate) fn encode_name(name: &str) -> String {
     out
 }
 
+/// The files of one collection, from its encoded base name.
+pub(crate) struct Paths {
+    pub wal: PathBuf,
+    pub snapshot: PathBuf,
+    pub index: PathBuf,
+}
+
+impl Paths {
+    pub(crate) fn of(dir: &Path, base: &str) -> Self {
+        Self {
+            wal: dir.join(format!("{base}.wal")),
+            snapshot: dir.join(format!("{base}.snap")),
+            index: dir.join(format!("{base}.idx.bin")),
+        }
+    }
+}
+
 /// Durability state attached to one collection: its WAL, snapshot path and
-/// checkpoint accounting. Lives inside [`Collection`] behind
-/// `#[serde(skip)]` so serialization of the collection itself is unchanged.
+/// checkpoint accounting. Lives inside [`Collection`], detached while a
+/// checkpoint reads the collection it belongs to.
 pub struct CollectionStorage {
     wal: Wal,
-    snapshot_path: PathBuf,
-    index_path: PathBuf,
+    paths: Paths,
     dir: PathBuf,
     snapshot_every: u64,
     appends_since_snapshot: u64,
@@ -370,23 +417,9 @@ impl CollectionStorage {
         config: &CollectionConfig,
         storage_config: &StorageConfig,
     ) -> Result<Self, DbError> {
-        let base = encode_name(name);
-        let wal_path = dir.join(format!("{base}.wal"));
-        let mut wal = Wal::open_for_append(&wal_path, storage_config.fsync_every, 0, 0)?;
-        let create = WalOp::Create {
-            name: name.to_owned(),
-            config: config.clone(),
-        };
-        wal.append_batch(&[&create])?;
-        wal.fsync()?;
-        Ok(Self {
-            wal,
-            snapshot_path: dir.join(format!("{base}.snap.json")),
-            index_path: dir.join(format!("{base}.idx.bin")),
-            dir: dir.to_owned(),
-            snapshot_every: storage_config.snapshot_every,
-            appends_since_snapshot: 0,
-        })
+        let mut storage = Self::reattach(dir, name, storage_config, 0, None)?;
+        storage.start_generation(name, config)?;
+        Ok(storage)
     }
 
     /// Reattach storage to a recovered collection, truncating any torn WAL
@@ -396,24 +429,32 @@ impl CollectionStorage {
         name: &str,
         storage_config: &StorageConfig,
         good_len: u64,
-        last_seq: u64,
+        last_seq: Option<u64>,
     ) -> Result<Self, DbError> {
-        let base = encode_name(name);
-        let wal_path = dir.join(format!("{base}.wal"));
+        let paths = Paths::of(dir, &encode_name(name));
         let wal = Wal::open_for_append(
-            &wal_path,
+            &paths.wal,
             storage_config.fsync_every,
             good_len,
-            last_seq + 1,
+            last_seq.map_or(0, |s| s + 1),
         )?;
         Ok(Self {
             wal,
-            snapshot_path: dir.join(format!("{base}.snap.json")),
-            index_path: dir.join(format!("{base}.idx.bin")),
+            paths,
             dir: dir.to_owned(),
             snapshot_every: storage_config.snapshot_every,
             appends_since_snapshot: 0,
         })
+    }
+
+    /// Seed the (empty) log with a durable `Create` frame.
+    fn start_generation(&mut self, name: &str, config: &CollectionConfig) -> Result<(), DbError> {
+        let create = WalOp::Create {
+            name: name.to_owned(),
+            config: config.clone(),
+        };
+        self.wal.append_batch(&[&create])?;
+        self.wal.fsync()
     }
 
     /// Log `ops` (write-ahead: callers append before mutating in-memory
@@ -429,47 +470,45 @@ impl CollectionStorage {
         self.wal.fsync()
     }
 
-    /// Write the binary index sidecar and `snapshot` atomically (tmp +
-    /// rename + dir fsync each), then start a fresh WAL generation seeded
-    /// with a `Create` frame.
-    pub(crate) fn checkpoint(
-        &mut self,
-        snapshot_json: &str,
-        index_blob: &[u8],
-        name: &str,
-        config: &CollectionConfig,
-    ) -> Result<(), DbError> {
+    /// Stream `collection`'s index sidecar and snapshot to disk atomically
+    /// (tmp + fsync + rename each, then a directory fsync), then start a
+    /// fresh WAL generation seeded with a `Create` frame.
+    pub(crate) fn checkpoint(&mut self, collection: &Collection) -> Result<(), DbError> {
         let mut tspan = llmms_obs::trace::span_here("snapshot");
-        tspan.attr_with("collection", || name.to_owned());
-        tspan.set_attr("bytes", snapshot_json.len());
-        tspan.set_attr("index_bytes", index_blob.len());
-        let result = self.checkpoint_inner(snapshot_json, index_blob, name, config);
-        if let Err(e) = &result {
-            tspan.set_status(llmms_obs::SpanStatus::Error);
-            tspan.attr_with("error", || e.to_string());
+        tspan.attr_with("collection", || collection.name().to_owned());
+        let result = self.checkpoint_inner(collection);
+        match &result {
+            Ok((snapshot_bytes, index_bytes)) => {
+                tspan.set_attr("bytes", *snapshot_bytes);
+                tspan.set_attr("index_bytes", *index_bytes);
+            }
+            Err(e) => {
+                tspan.set_status(llmms_obs::SpanStatus::Error);
+                tspan.attr_with("error", || e.to_string());
+            }
         }
         tspan.end();
-        result
+        result.map(|_| ())
     }
 
-    fn checkpoint_inner(
-        &mut self,
-        snapshot_json: &str,
-        index_blob: &[u8],
-        name: &str,
-        config: &CollectionConfig,
-    ) -> Result<(), DbError> {
+    /// Returns the bytes written to the snapshot and to the sidecar.
+    fn checkpoint_inner(&mut self, collection: &Collection) -> Result<(u64, u64), DbError> {
         let start = Instant::now();
         // Make the log durable first: the snapshot must never be *ahead* of
         // the WAL it claims to subsume.
         self.wal.fsync()?;
+        let last_seq = self.last_seq();
         // Index sidecar first, snapshot second. Recovery trusts the sidecar
         // only when its embedded sequence number equals the snapshot's, so
         // a crash between the two renames leaves a mismatched pair and
         // degrades to an index rebuild — never to a stale index silently
         // serving a newer snapshot.
-        write_atomic(&self.index_path, index_blob)?;
-        write_atomic(&self.snapshot_path, snapshot_json.as_bytes())?;
+        let index_bytes = write_atomic(&self.paths.index, |f| {
+            persist::write_index(f, collection.index(), last_seq)
+        })?;
+        let snapshot_bytes = write_atomic(&self.paths.snapshot, |f| {
+            collection.write_snapshot(f, last_seq)
+        })?;
         // Persist the rename itself (the directory entry).
         if let Ok(d) = File::open(&self.dir) {
             let _ = d.sync_all();
@@ -478,13 +517,8 @@ impl CollectionStorage {
         // truncate leaves old frames behind; their sequence numbers are
         // <= the snapshot's last_seq, so replay skips them.
         let next_seq = self.wal.next_seq;
-        self.wal = Wal::open_for_append(&self.wal.path, self.wal.fsync_every, 0, next_seq)?;
-        let create = WalOp::Create {
-            name: name.to_owned(),
-            config: config.clone(),
-        };
-        self.wal.append_batch(&[&create])?;
-        self.wal.fsync()?;
+        self.wal = Wal::open_for_append(&self.paths.wal, self.wal.fsync_every, 0, next_seq)?;
+        self.start_generation(collection.name(), collection.config())?;
         self.appends_since_snapshot = 0;
         let registry = llmms_obs::Registry::global();
         if registry.enabled() {
@@ -494,7 +528,7 @@ impl CollectionStorage {
                 .record_duration(start.elapsed());
             registry.counter("snapshots_total").metric.inc();
         }
-        Ok(())
+        Ok((snapshot_bytes, index_bytes))
     }
 
     /// Last sequence number written to the log.
@@ -512,6 +546,75 @@ mod tests {
         // The canonical IEEE CRC-32 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The algorithm this module shipped with before the byte tables: one
+    /// 16-entry table, two steps per byte. Kept as the oracle.
+    fn crc32_nibble(bytes: &[u8]) -> u32 {
+        let mut table = [0u32; 16];
+        for (i, slot) in table.iter_mut().enumerate() {
+            *slot = (0..4).fold(i as u32, |crc, _| {
+                if crc & 1 != 0 {
+                    (crc >> 1) ^ CRC_POLY
+                } else {
+                    crc >> 1
+                }
+            });
+        }
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc = (crc >> 4) ^ table[((crc ^ b as u32) & 0xF) as usize];
+            crc = (crc >> 4) ^ table[((crc ^ (b as u32 >> 4)) & 0xF) as usize];
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_agrees_with_the_nibble_algorithm_on_random_buffers() {
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for i in 0..265 {
+            // Every short length once, then random ones up to 4096.
+            let len = if i <= 64 { i } else { (next() % 4097) as usize };
+            let buf: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            assert_eq!(crc32(&buf), crc32_nibble(&buf), "len {len}");
+            // Streaming in two pieces at any split gives the same state.
+            let split = if len == 0 { 0 } else { next() as usize % len };
+            let state = crc32_update(crc32_update(!0, &buf[..split]), &buf[split..]);
+            assert_eq!(!state, crc32(&buf), "len {len} split {split}");
+        }
+    }
+
+    #[test]
+    fn checksummed_frame_that_does_not_decode_is_an_error_not_a_torn_tail() {
+        let dir = std::env::temp_dir().join(format!("llmms-wal-wrong-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.wal");
+        for (payload, needle) in [
+            (&br#"{"Delete":{"id":"x"}}"#[..], "JSON frame payload"),
+            (&[0x09, 1, 2, 3][..], "unknown op tag 9"),
+            (&[3, 200, 0, 0, 0][..], "implausible"), // Delete with a short id
+        ] {
+            let mut bytes = Vec::new();
+            encode_frame(&mut bytes, 0, &WalOp::Delete { id: "ok".into() });
+            let mut body = 1u64.to_le_bytes().to_vec();
+            body.extend_from_slice(payload);
+            bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&crc32(&body).to_le_bytes());
+            bytes.extend_from_slice(&body);
+            std::fs::write(&path, &bytes).unwrap();
+            let Err(err) = replay(&path) else {
+                panic!("{needle}: replay accepted a wrong frame");
+            };
+            let text = err.to_string();
+            assert!(text.contains("t.wal") && text.contains(needle), "{text}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

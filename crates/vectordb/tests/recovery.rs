@@ -7,7 +7,10 @@
 //! fully-committed state.
 
 use llmms_embed::Embedding;
-use llmms_vectordb::{CollectionConfig, Database, Record, StorageConfig};
+use llmms_vectordb::{
+    meta, CollectionConfig, Database, Filter, MetaValue, Metadata, Record, SegmentConfig,
+    StorageConfig,
+};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -163,13 +166,13 @@ fn killed_wal_after_snapshot_never_loses_snapshotted_ops() {
         },
     );
     let bytes = std::fs::read(live.join("c.wal")).unwrap();
-    let snap = std::fs::read(live.join("c.snap.json")).unwrap();
+    let snap = std::fs::read(live.join("c.snap")).unwrap();
 
     let crash = unique_dir("snap-crash");
     for cut in 0..=bytes.len() {
         std::fs::remove_dir_all(&crash).ok();
         std::fs::create_dir_all(&crash).unwrap();
-        std::fs::write(crash.join("c.snap.json"), &snap).unwrap();
+        std::fs::write(crash.join("c.snap"), &snap).unwrap();
         std::fs::write(crash.join("c.wal"), &bytes[..cut]).unwrap();
         let db = Database::open(&crash).unwrap();
         let got = observe(&db, "c");
@@ -317,6 +320,251 @@ fn recovered_store_accepts_further_writes() {
     let got = observe(&db, "c");
     assert_eq!(got.keys().collect::<Vec<_>>(), ["b"]);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A checkpointed store of 40 records plus a 5-op WAL suffix, and the
+/// state it must reopen to.
+fn checkpointed_store(tag: &str) -> (std::path::PathBuf, Model) {
+    let dir = unique_dir(tag);
+    let ops: Vec<Op> = (0..40)
+        .map(|i| Op::Upsert(format!("r{i}"), vec![(i as f32).cos(), (i as f32).sin()]))
+        .chain([Op::Delete("r3".into()), Op::Delete("r4".into())])
+        .chain((40..43).map(|i| Op::Upsert(format!("r{i}"), vec![1.0, i as f32])))
+        .collect();
+    let states = run_ops(
+        &dir,
+        &ops,
+        StorageConfig {
+            fsync_every: 1,
+            snapshot_every: 40,
+        },
+    );
+    assert!(dir.join("c.snap").exists() && dir.join("c.idx.bin").exists());
+    (dir, states.last().unwrap().clone())
+}
+
+/// Torn is not wrong: a snapshot is installed by rename, so one that does
+/// not verify is damaged, and opening "whatever the WAL still has" would
+/// silently drop every checkpointed record. One flipped bit anywhere in
+/// `.snap` must refuse to open — and must leave the files alone.
+#[test]
+fn snapshot_corrupted_at_any_byte_refuses_to_open() {
+    let (dir, expected) = checkpointed_store("snap-flip");
+    let snap_path = dir.join("c.snap");
+    let snap = std::fs::read(&snap_path).unwrap();
+    let wal = std::fs::read(dir.join("c.wal")).unwrap();
+    for offset in 0..snap.len() {
+        let mut bad = snap.clone();
+        bad[offset] ^= 0x10;
+        std::fs::write(&snap_path, &bad).unwrap();
+        match Database::open(&dir) {
+            Err(e) => assert!(e.to_string().contains("c.snap"), "flip at {offset}: {e}"),
+            Ok(db) => panic!(
+                "flip at {offset}: opened with {} of {} records",
+                observe(&db, "c").len(),
+                expected.len()
+            ),
+        }
+    }
+    assert_eq!(
+        std::fs::read(dir.join("c.wal")).unwrap(),
+        wal,
+        "a refused open must not touch the log"
+    );
+    std::fs::write(&snap_path, &snap).unwrap();
+    assert_eq!(observe(&Database::open(&dir).unwrap(), "c"), expected);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The sidecar is derived state: damaged, missing or stale, it degrades to
+/// an index rebuild with identical contents and answers.
+#[test]
+fn sidecar_corruption_degrades_to_a_rebuild() {
+    let (dir, expected) = checkpointed_store("idx-flip");
+    let idx_path = dir.join("c.idx.bin");
+    let idx = std::fs::read(&idx_path).unwrap();
+    let query = emb(&[0.3, 0.9]);
+    let answer = |db: &Database| db.collection("c").unwrap().read().query(&query, 5, None);
+    let want = answer(&Database::open(&dir).unwrap()).unwrap();
+    for offset in (0..idx.len()).step_by(7) {
+        let mut bad = idx.clone();
+        bad[offset] ^= 0x10;
+        std::fs::write(&idx_path, &bad).unwrap();
+        let db = Database::open(&dir).unwrap();
+        assert_eq!(observe(&db, "c"), expected, "flip at {offset}");
+        assert_eq!(answer(&db).unwrap(), want, "flip at {offset}");
+    }
+    std::fs::remove_file(&idx_path).unwrap();
+    assert_eq!(observe(&Database::open(&dir).unwrap(), "c"), expected);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A checksummed frame that does not decode is a wrong log, not a torn one:
+/// opening fails and the bytes after it are not truncated away.
+#[test]
+fn undecodable_frame_refuses_to_open_and_is_not_truncated() {
+    let (dir, _) = checkpointed_store("wrong-frame");
+    let wal_path = dir.join("c.wal");
+    let mut wal = std::fs::read(&wal_path).unwrap();
+    // Re-stamp the second frame (first op after `Create`) with an unknown
+    // op tag and a matching CRC.
+    let first = 8 + u32::from_le_bytes(wal[0..4].try_into().unwrap()) as usize;
+    let len = u32::from_le_bytes(wal[first..first + 4].try_into().unwrap()) as usize;
+    wal[first + 16] = 0x7F;
+    let crc = llmms_vectordb::wal::crc32(&wal[first + 8..first + 8 + len]);
+    wal[first + 4..first + 8].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(&wal_path, &wal).unwrap();
+    let err = Database::open(&dir).err().expect("wrong frame accepted");
+    assert!(err.to_string().contains("c.wal"), "{err}");
+    assert_eq!(std::fs::read(&wal_path).unwrap(), wal, "log was modified");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Directories written by releases before the binary format are refused by
+/// name — never opened empty, truncated or deleted.
+#[test]
+fn old_json_format_is_refused_and_left_untouched() {
+    // A JSON snapshot beside a log.
+    let dir = unique_dir("old-snap");
+    std::fs::create_dir_all(&dir).unwrap();
+    let old_snap = br#"{"last_seq":3,"collection":{"name":"c"}}"#;
+    std::fs::write(dir.join("c.snap.json"), old_snap).unwrap();
+    let err = Database::open(&dir).err().expect("old snapshot accepted");
+    let text = err.to_string();
+    assert!(
+        text.contains("c.snap.json") && text.contains("JSON snapshot"),
+        "{text}"
+    );
+    assert_eq!(std::fs::read(dir.join("c.snap.json")).unwrap(), old_snap);
+    assert!(!dir.join("c.wal").exists(), "refusal must not create a log");
+    std::fs::remove_dir_all(&dir).ok();
+
+    // A log of JSON frames and no snapshot at all.
+    let dir = unique_dir("old-wal");
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut body = 0u64.to_le_bytes().to_vec();
+    body.extend_from_slice(br#"{"Create":{"name":"c","config":{"dim":2}}}"#);
+    let mut old_wal = (body.len() as u32).to_le_bytes().to_vec();
+    old_wal.extend_from_slice(&llmms_vectordb::wal::crc32(&body).to_le_bytes());
+    old_wal.extend_from_slice(&body);
+    std::fs::write(dir.join("c.wal"), &old_wal).unwrap();
+    let err = Database::open(&dir).err().expect("old log accepted");
+    let text = err.to_string();
+    assert!(
+        text.contains("c.wal") && text.contains("JSON frame payload"),
+        "{text}"
+    );
+    assert_eq!(std::fs::read(dir.join("c.wal")).unwrap(), old_wal);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One step of the postings-vs-scan churn below.
+#[derive(Debug, Clone)]
+enum Churn {
+    Upsert(String, Metadata),
+    Delete(String),
+    DeleteMatching(Filter),
+    Reopen,
+    CompactSegments,
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `delete_matching` on a string equality is answered from postings the
+    /// collection maintains on the side; every other filter scans. Both
+    /// must remove exactly the records `Filter::matches` selects — under
+    /// upsert / replace / delete churn, after a reopen from snapshot + WAL
+    /// suffix (postings are rebuilt, not persisted), and after segment
+    /// compaction.
+    #[test]
+    fn delete_matching_removes_exactly_what_the_filter_matches(
+        raw in proptest::collection::vec((0u8..12, 0usize..14, 0usize..4, 0usize..3), 1..90),
+    ) {
+        let docs = ["d0", "d1", "d2", "d3"];
+        let tags = ["x", "y", ""];
+        let steps: Vec<Churn> = raw
+            .into_iter()
+            .map(|(kind, id, doc, tag)| match kind {
+                0..=5 => {
+                    let mut m = meta([("doc", docs[doc].into()), ("n", (id as i64).into())]);
+                    // A second string key on some records, and one whose
+                    // *value type* varies under the same key.
+                    if tag < 2 {
+                        m.insert("tag".into(), tags[tag].into());
+                    } else {
+                        m.insert("tag".into(), MetaValue::Int(7));
+                    }
+                    if id % 3 == 0 {
+                        m.remove("doc");
+                    }
+                    Churn::Upsert(format!("id{id}"), m)
+                }
+                6 => Churn::Delete(format!("id{id}")),
+                7 | 8 => Churn::DeleteMatching(Filter::eq_str("doc", docs[doc])),
+                9 => Churn::DeleteMatching(match tag {
+                    0 => Filter::eq_str("tag", tags[doc % 3]),
+                    1 => Filter::eq_str("absent", "x"),
+                    // Not a top-level string equality: the scan path.
+                    _ => Filter::eq_str("doc", docs[doc]).and(Filter::Gt("n".into(), 4.0)),
+                }),
+                10 => Churn::Reopen,
+                _ => Churn::CompactSegments,
+            })
+            .collect();
+
+        let dir = unique_dir("postings");
+        let storage = StorageConfig { fsync_every: 0, snapshot_every: 16 };
+        let mut config = CollectionConfig::flat(2);
+        config.segment = SegmentConfig {
+            seal_threshold: 8,
+            quantize_sealed: false,
+            compact_min_live: 6,
+        };
+        let mut db = Database::open_with(&dir, storage.clone()).unwrap();
+        db.create_collection("c", config).unwrap();
+        let mut model: BTreeMap<String, Metadata> = BTreeMap::new();
+        for (i, step) in steps.iter().enumerate() {
+            let coll = db.collection("c").unwrap();
+            match step {
+                Churn::Upsert(id, m) => {
+                    let record = Record::new(id.clone(), emb(&[1.0, i as f32]))
+                        .with_metadata(m.clone());
+                    coll.write().upsert(record).unwrap();
+                    model.insert(id.clone(), m.clone());
+                }
+                Churn::Delete(id) => {
+                    let _ = coll.write().delete(id);
+                    model.remove(id);
+                }
+                Churn::DeleteMatching(filter) => {
+                    let before = model.len();
+                    model.retain(|_, m| !filter.matches(m));
+                    let removed = coll.write().delete_matching(filter).unwrap();
+                    prop_assert_eq!(removed, before - model.len(), "step {}: {:?}", i, filter);
+                }
+                Churn::Reopen => {
+                    db.flush().unwrap();
+                    drop(coll);
+                    drop(db);
+                    db = Database::open_with(&dir, storage.clone()).unwrap();
+                }
+                Churn::CompactSegments => {
+                    let mut guard = coll.write();
+                    while guard.needs_segment_compaction() && guard.compact_segments() > 0 {}
+                }
+            }
+            let coll = db.collection("c").unwrap();
+            let live: BTreeMap<String, Metadata> = coll
+                .read()
+                .iter()
+                .map(|r| (r.id.clone(), r.metadata.clone()))
+                .collect();
+            prop_assert_eq!(&live, &model, "after step {} ({:?})", i, step);
+        }
+        drop(db);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 proptest! {

@@ -27,9 +27,10 @@ fn generated_dataset_roundtrips_through_disk() {
 
 #[test]
 fn vector_store_snapshot_preserves_search_results() {
-    let path = tmp("store.json");
+    let dir = tmp("store");
+    std::fs::remove_dir_all(&dir).ok();
     let embedder = llmms::embed::default_embedder();
-    let db = Database::new();
+    let db = Database::open(&dir).unwrap();
     let coll = db
         .create_collection("facts", CollectionConfig::hnsw(embedder.dim()))
         .unwrap();
@@ -51,8 +52,11 @@ fn vector_store_snapshot_preserves_search_results() {
     let query = embedder.embed("which metal melts at the highest temperature");
     let before = coll.read().query(&query, 2, None).unwrap();
 
-    db.save(&path).unwrap();
-    let restored = Database::load(&path).unwrap();
+    db.checkpoint().unwrap();
+    assert!(dir.join("facts.snap").exists());
+    drop(coll);
+    drop(db);
+    let restored = Database::open(&dir).unwrap();
     let coll2 = restored.collection("facts").unwrap();
     let after = coll2.read().query(&query, 2, None).unwrap();
 
@@ -61,7 +65,7 @@ fn vector_store_snapshot_preserves_search_results() {
         after.iter().map(|h| &h.id).collect::<Vec<_>>()
     );
     assert_eq!(before[0].id, "t3");
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
