@@ -75,7 +75,6 @@ pub mod router;
 mod runpool;
 pub mod scoring;
 mod single;
-pub mod tournament;
 
 pub use brownout::{BrownoutConfig, BrownoutController, PressureInputs};
 pub use budget::{Lease, TokenBudget};
@@ -93,4 +92,3 @@ pub use reward::{combined_score, inter_model_agreement, score_all, RewardWeights
 pub use routed::RouterConfig;
 pub use router::{TaskIndex, TaskProfile};
 pub use scoring::ScoreCache;
-pub use tournament::{Scoreboard, TournamentConfig};

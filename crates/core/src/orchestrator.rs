@@ -617,11 +617,13 @@ mod tests {
         // TruthfulQA misconceptions are lexically close to the truth, so
         // embedding score gaps are small (the paper's own §8.4 limitation);
         // an aggressive margin is needed to see the mechanism fire.
-        let mut oua_cfg = OuaConfig::default();
-        oua_cfg.prune_margin = 0.005;
-        // Fine-grained rounds keep models in flight long enough for the
-        // pruning window to exist at all.
-        oua_cfg.round_tokens = 2;
+        let oua_cfg = OuaConfig {
+            prune_margin: 0.005,
+            // Fine-grained rounds keep models in flight long enough for the
+            // pruning window to exist at all.
+            round_tokens: 2,
+            ..OuaConfig::default()
+        };
         let o = orchestrator(Strategy::Oua(oua_cfg));
         let r = o.run(&pool, "What is the capital of France?").unwrap();
         let pruned: Vec<&str> = r
@@ -655,10 +657,12 @@ mod tests {
         // Exploitation is observable when the loop stops at the leader and
         // selection tracks the mean per-pull reward; with run-to-completion
         // (the default) pull counts track answer length instead.
-        let mut mab_cfg = MabConfig::default();
-        mab_cfg.pull_tokens = 2;
-        mab_cfg.early_stop = true;
-        mab_cfg.selection = crate::config::MabSelection::Mean;
+        let mab_cfg = MabConfig {
+            pull_tokens: 2,
+            early_stop: true,
+            selection: crate::config::MabSelection::Mean,
+            ..MabConfig::default()
+        };
         let o = orchestrator(Strategy::Mab(mab_cfg));
         let r = o.run(&pool, "What is the capital of France?").unwrap();
         let pulls_of = |name: &str| {

@@ -297,8 +297,8 @@ mod tests {
         }
         let mask = [true, true, true];
         let oracle = naive_scores(&w, &q, &arms, &mask);
-        for i in 0..3 {
-            assert_eq!(cache.score(i, &mask), oracle[i].unwrap(), "arm {i}");
+        for (i, want) in oracle.iter().enumerate() {
+            assert_eq!(cache.score(i, &mask), want.unwrap(), "arm {i}");
         }
     }
 
@@ -351,8 +351,8 @@ mod tests {
         cache.set_embedding(1, Arc::clone(arms[1].as_ref().unwrap()));
         let mask = [true, true, true];
         let oracle = naive_scores(&w, &q, &arms, &mask);
-        for i in 0..3 {
-            assert_eq!(cache.score(i, &mask), oracle[i].unwrap(), "arm {i}");
+        for (i, want) in oracle.iter().enumerate() {
+            assert_eq!(cache.score(i, &mask), want.unwrap(), "arm {i}");
         }
     }
 

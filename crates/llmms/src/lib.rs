@@ -11,7 +11,7 @@
 //! | [`vectordb`] | `llmms-vectordb` | embedded vector database (ChromaDB substitute) |
 //! | [`rag`] | `llmms-rag` | retrieval-augmented generation pipeline |
 //! | [`session`] | `llmms-session` | sessions + hierarchical summarization |
-//! | [`tokenizer`] | `llmms-tokenizer` | BPE tokenizer substrate |
+//! | [`tokenizer`] | `llmms-tokenizer` | text normalization and F1 word tokens |
 //! | [`eval`] | `llmms-eval` | TruthfulQA-style benchmark + §8 harness |
 //! | [`server`] | `llmms-server` | HTTP/SSE application layer |
 //!
@@ -43,7 +43,6 @@ pub use llmms_vectordb as vectordb;
 /// ([`Platform::ask_streaming`], `Orchestrator::run_streaming`).
 pub use crossbeam_channel;
 
-pub mod agents;
 pub mod nlconfig;
 pub mod platform;
 mod service_impl;

@@ -22,9 +22,8 @@
 //!   whole evaluation is reproducible bit-for-bit.
 //!
 //! Token accounting: one generated word = one token. This keeps budget
-//! arithmetic exact and transparent in tests; a BPE tokenizer from
-//! `llmms-tokenizer` can be layered on for realistic subword counts, but
-//! the algorithms are invariant to the token unit.
+//! arithmetic exact and transparent in tests, and the algorithms are
+//! invariant to the token unit.
 
 use crate::error::ModelError;
 use crate::knowledge::KnowledgeStore;

@@ -223,8 +223,10 @@ mod tests {
 
     #[test]
     fn one_hop_expansion_surfaces_linked_memories() {
-        let mut cfg = MemoryGraphConfig::default();
-        cfg.link_threshold = 0.2;
+        let cfg = MemoryGraphConfig {
+            link_threshold: 0.2,
+            ..MemoryGraphConfig::default()
+        };
         let mut g = MemoryGraph::new(llmms_embed::default_embedder(), cfg);
         // Node B shares vocabulary with A but not with the query; the query
         // matches A strongly, so B should inherit a discounted score > its
@@ -262,9 +264,11 @@ mod tests {
 
     #[test]
     fn max_links_is_respected() {
-        let mut cfg = MemoryGraphConfig::default();
-        cfg.max_links = 2;
-        cfg.link_threshold = 0.0;
+        let cfg = MemoryGraphConfig {
+            max_links: 2,
+            link_threshold: 0.0,
+            ..MemoryGraphConfig::default()
+        };
         let mut g = MemoryGraph::new(llmms_embed::default_embedder(), cfg);
         for i in 0..5 {
             g.record(

@@ -1,120 +1,27 @@
 //! # llmms-tokenizer
 //!
-//! Subword tokenization substrate for the LLM-MS reproduction.
+//! Text normalization and word tokenization for the LLM-MS reproduction.
 //!
-//! The LLM-MS platform accounts for *everything* in tokens: budgets (λ_max),
-//! per-model allowances (λ_max / N), pruning decisions, and the headline
-//! "reward per token" efficiency metric. This crate provides the token
-//! arithmetic that the rest of the workspace builds on:
-//!
-//! * [`Tokenizer`] — a trained BPE subword tokenizer (SentencePiece-style
-//!   whitespace marker, greedy merge encoding) used by the simulated models.
 //! * [`words`] — the SQuAD-convention whitespace tokenizer used by the
 //!   evaluation F1 metric.
-//! * [`normalize`] — shared text normalization.
+//! * [`normalize`] — the shared normalization the embedders apply before
+//!   hashing and weighting terms.
 //!
 //! ## Example
 //!
 //! ```
-//! use llmms_tokenizer::{Tokenizer, TokenizerConfig};
+//! use llmms_tokenizer::{normalize, words, NormalizerConfig};
 //!
-//! let corpus = ["the quick brown fox", "the lazy dog", "the quick dog"];
-//! let tok = Tokenizer::train(corpus, &TokenizerConfig::default()).unwrap();
-//! let ids = tok.encode("the quick dog");
-//! assert_eq!(tok.decode(&ids).unwrap(), "the quick dog");
-//! assert_eq!(tok.count_tokens("the quick dog"), ids.len());
+//! let cfg = NormalizerConfig::case_insensitive();
+//! assert_eq!(normalize("  The  Quick\tFox ", &cfg), "the quick fox");
+//! assert_eq!(words("The Quick, Fox!"), ["the", "quick", "fox"]);
 //! ```
 
 #![warn(missing_docs)]
 
-pub mod bpe;
-pub mod error;
 pub mod normalize;
-pub mod vocab;
 
-pub use bpe::{BpeConfig, BpeModel, Merge, WORD_MARKER};
-pub use error::TokenizerError;
 pub use normalize::{normalize, NormalizerConfig};
-pub use vocab::{SpecialTokens, TokenId, Vocab};
-
-use serde::{Deserialize, Serialize};
-
-/// Configuration for training a [`Tokenizer`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct TokenizerConfig {
-    /// BPE training parameters.
-    pub bpe: BpeConfig,
-    /// Normalization applied before encoding.
-    pub normalizer: NormalizerConfig,
-}
-
-/// A trained tokenizer: normalization + BPE model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Tokenizer {
-    model: BpeModel,
-    normalizer: NormalizerConfig,
-}
-
-impl Tokenizer {
-    /// Train a tokenizer over `corpus` documents.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`TokenizerError`] from BPE training (empty corpus,
-    /// too-small vocabulary).
-    pub fn train<'a, I>(corpus: I, config: &TokenizerConfig) -> Result<Self, TokenizerError>
-    where
-        I: IntoIterator<Item = &'a str>,
-    {
-        let normalized: Vec<String> = corpus
-            .into_iter()
-            .map(|d| normalize(d, &config.normalizer))
-            .collect();
-        let model = BpeModel::train(normalized.iter().map(String::as_str), &config.bpe)?;
-        Ok(Self {
-            model,
-            normalizer: config.normalizer,
-        })
-    }
-
-    /// Encode `text` into token ids (normalization applied first).
-    pub fn encode(&self, text: &str) -> Vec<TokenId> {
-        llmms_obs::timed("tokenizer_encode", || {
-            self.model.encode(&normalize(text, &self.normalizer))
-        })
-    }
-
-    /// Decode token ids back into text.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TokenizerError::UnknownTokenId`] for ids outside the
-    /// vocabulary.
-    pub fn decode(&self, ids: &[TokenId]) -> Result<String, TokenizerError> {
-        self.model.decode(ids)
-    }
-
-    /// Number of tokens `text` encodes to — the unit of every budget in the
-    /// orchestrator.
-    pub fn count_tokens(&self, text: &str) -> usize {
-        self.encode(text).len()
-    }
-
-    /// The underlying vocabulary.
-    pub fn vocab(&self) -> &Vocab {
-        self.model.vocab()
-    }
-
-    /// The underlying BPE model.
-    pub fn model(&self) -> &BpeModel {
-        &self.model
-    }
-
-    /// Rebuild caches after deserialization.
-    pub fn rebuild(&mut self) {
-        self.model.rebuild();
-    }
-}
 
 /// Whitespace word tokenization under SQuAD normalization (lowercase,
 /// punctuation stripped). This is the token definition the evaluation F1
@@ -132,44 +39,9 @@ pub fn words(text: &str) -> Vec<String> {
         .collect()
 }
 
-/// Approximate token count without a trained tokenizer: the common
-/// "chars / 4" heuristic, clamped below by the word count. Used where a
-/// budget estimate is needed before any model (and hence tokenizer) is
-/// chosen.
-pub fn approx_token_count(text: &str) -> usize {
-    let chars = text.chars().count();
-    let words = text.split_whitespace().count();
-    (chars / 4).max(words)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn corpus() -> Vec<&'static str> {
-        vec![
-            "The capital of France is Paris.",
-            "Paris is the capital and most populous city of France.",
-            "The Great Wall of China is visible from space is a myth.",
-            "Water boils at one hundred degrees Celsius at sea level.",
-        ]
-    }
-
-    #[test]
-    fn train_encode_decode_roundtrip() {
-        let tok = Tokenizer::train(corpus(), &TokenizerConfig::default()).unwrap();
-        let text = "The capital of France is Paris.";
-        let ids = tok.encode(text);
-        assert_eq!(tok.decode(&ids).unwrap(), text);
-    }
-
-    #[test]
-    fn count_tokens_matches_encode_len() {
-        let tok = Tokenizer::train(corpus(), &TokenizerConfig::default()).unwrap();
-        for doc in corpus() {
-            assert_eq!(tok.count_tokens(doc), tok.encode(doc).len());
-        }
-    }
 
     #[test]
     fn words_normalizes_case_and_punctuation() {
@@ -184,23 +56,6 @@ mod tests {
         assert!(words("").is_empty());
         assert!(words("!!! ???").is_empty());
     }
-
-    #[test]
-    fn approx_token_count_reasonable() {
-        assert_eq!(approx_token_count(""), 0);
-        let n = approx_token_count("the quick brown fox jumps over the lazy dog");
-        assert!(n >= 9, "at least one per word, got {n}");
-    }
-
-    #[test]
-    fn tokenizer_serde_roundtrip() {
-        let tok = Tokenizer::train(corpus(), &TokenizerConfig::default()).unwrap();
-        let json = serde_json::to_string(&tok).unwrap();
-        let mut back: Tokenizer = serde_json::from_str(&json).unwrap();
-        back.rebuild();
-        let text = "Water boils at one hundred degrees";
-        assert_eq!(back.encode(text), tok.encode(text));
-    }
 }
 
 #[cfg(test)]
@@ -208,36 +63,7 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
-    fn trained() -> Tokenizer {
-        let corpus = [
-            "alpha beta gamma delta epsilon zeta eta theta",
-            "alpha alpha beta beta gamma gamma words words words",
-            "the quick brown fox jumps over the lazy dog again and again",
-        ];
-        Tokenizer::train(corpus, &TokenizerConfig::default()).unwrap()
-    }
-
     proptest! {
-        /// Decoding an encoding of ASCII-word text recovers the normalized text.
-        #[test]
-        fn roundtrip_ascii_words(s in "[a-z]{1,8}( [a-z]{1,8}){0,6}") {
-            let tok = trained();
-            let ids = tok.encode(&s);
-            let back = tok.decode(&ids).unwrap();
-            // a-z all appear in the training corpus, so roundtrip is exact.
-            prop_assert_eq!(back, s);
-        }
-
-        /// Token counts are subadditive under concatenation with a separator.
-        #[test]
-        fn count_subadditive(a in "[a-z]{1,8}", b in "[a-z]{1,8}") {
-            let tok = trained();
-            let joined = format!("{a} {b}");
-            let n = tok.count_tokens(&joined);
-            prop_assert!(n <= tok.count_tokens(&a) + tok.count_tokens(&b));
-            prop_assert!(n >= 1);
-        }
-
         /// `words` output contains only alphanumerics, already in lowercase
         /// form (characters without a lowercase mapping pass unchanged).
         #[test]

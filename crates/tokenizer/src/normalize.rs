@@ -1,140 +1,87 @@
-//! Text normalization applied before pre-tokenization.
+//! Text normalization applied before tokenization and embedding.
 //!
-//! The paper's platform normalizes all text before embedding and generation so
-//! that heterogeneous model front-ends observe the same token stream. We apply
-//! a conservative normalization: Unicode control characters are stripped,
-//! whitespace runs are collapsed, and (optionally) text is lowercased.
+//! The paper's platform normalizes all text before embedding and scoring so
+//! that heterogeneous model outputs are compared on the same token stream.
+//! The normalization is fixed: Unicode control characters are stripped,
+//! whitespace runs collapse to one ASCII space (trimmed at both ends), and
+//! text is lowercased.
 
-use serde::{Deserialize, Serialize};
-
-/// Configuration for [`normalize`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct NormalizerConfig {
-    /// Lowercase the input (useful for case-insensitive retrieval scoring).
-    pub lowercase: bool,
-    /// Collapse runs of whitespace into a single ASCII space.
-    pub collapse_whitespace: bool,
-    /// Strip non-whitespace control characters.
-    pub strip_control: bool,
-}
-
-impl Default for NormalizerConfig {
-    fn default() -> Self {
-        Self {
-            lowercase: false,
-            collapse_whitespace: true,
-            strip_control: true,
-        }
-    }
-}
+/// The normalization [`normalize`] applies. It has one setting; the type
+/// stays because callers outside the workspace pass it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NormalizerConfig;
 
 impl NormalizerConfig {
-    /// A normalizer that lowercases — used by the evaluation F1 metric, which
-    /// follows the SQuAD convention of case-insensitive token overlap.
+    /// The case-insensitive normalizer — the SQuAD convention of the
+    /// evaluation F1 metric, and what the embedders hash.
     pub fn case_insensitive() -> Self {
-        Self {
-            lowercase: true,
-            ..Self::default()
-        }
+        Self
     }
 }
 
-/// Normalize `text` according to `config`.
-///
-/// The output never contains leading/trailing whitespace when
-/// `collapse_whitespace` is set.
-pub fn normalize(text: &str, config: &NormalizerConfig) -> String {
+/// Normalize `text`: strip control characters, collapse and trim
+/// whitespace, lowercase.
+pub fn normalize(text: &str, _config: &NormalizerConfig) -> String {
     let mut out = String::with_capacity(text.len());
     let mut pending_space = false;
     let mut seen_any = false;
     for ch in text.chars() {
-        let ch = if config.lowercase {
-            // `to_lowercase` can expand to multiple chars; handle below.
-            ch
-        } else {
-            ch
-        };
         if ch.is_whitespace() {
-            if config.collapse_whitespace {
-                pending_space = seen_any;
-            } else {
-                push_char(&mut out, ch, config.lowercase);
-                seen_any = true;
-            }
+            pending_space = seen_any;
             continue;
         }
-        if config.strip_control && ch.is_control() {
+        if ch.is_control() {
             continue;
         }
         if pending_space {
             out.push(' ');
             pending_space = false;
         }
-        push_char(&mut out, ch, config.lowercase);
+        out.extend(ch.to_lowercase());
         seen_any = true;
     }
     out
-}
-
-fn push_char(out: &mut String, ch: char, lowercase: bool) {
-    if lowercase {
-        for lc in ch.to_lowercase() {
-            out.push(lc);
-        }
-    } else {
-        out.push(ch);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn norm(text: &str) -> String {
+        normalize(text, &NormalizerConfig::case_insensitive())
+    }
+
     #[test]
     fn collapses_whitespace_runs() {
-        let cfg = NormalizerConfig::default();
-        assert_eq!(normalize("a  b\t\nc", &cfg), "a b c");
+        assert_eq!(norm("a  b\t\nc"), "a b c");
     }
 
     #[test]
     fn trims_leading_and_trailing_whitespace() {
-        let cfg = NormalizerConfig::default();
-        assert_eq!(normalize("  hello world  ", &cfg), "hello world");
+        assert_eq!(norm("  hello world  "), "hello world");
     }
 
     #[test]
     fn strips_control_characters() {
-        let cfg = NormalizerConfig::default();
-        assert_eq!(normalize("a\u{0} b\u{7}", &cfg), "a b");
+        assert_eq!(norm("a\u{0} b\u{7}"), "a b");
     }
 
     #[test]
-    fn lowercases_when_requested() {
-        let cfg = NormalizerConfig::case_insensitive();
-        assert_eq!(normalize("HeLLo WoRLD", &cfg), "hello world");
-    }
-
-    #[test]
-    fn preserves_whitespace_when_collapse_disabled() {
-        let cfg = NormalizerConfig {
-            collapse_whitespace: false,
-            ..NormalizerConfig::default()
-        };
-        assert_eq!(normalize("a  b", &cfg), "a  b");
+    fn lowercases() {
+        assert_eq!(norm("HeLLo WoRLD"), "hello world");
     }
 
     #[test]
     fn empty_input_is_empty_output() {
-        assert_eq!(normalize("", &NormalizerConfig::default()), "");
-        assert_eq!(normalize("   ", &NormalizerConfig::default()), "");
+        assert_eq!(norm(""), "");
+        assert_eq!(norm("   "), "");
     }
 
     #[test]
     fn multichar_lowercase_expansion_is_handled() {
         // U+0130 LATIN CAPITAL LETTER I WITH DOT ABOVE lowercases to two chars.
-        let cfg = NormalizerConfig::case_insensitive();
-        let out = normalize("\u{130}", &cfg);
-        assert!(!out.is_empty());
+        let out = norm("\u{130}");
+        assert_eq!(out.chars().count(), 2);
         assert!(out.chars().all(|c| !c.is_uppercase()));
     }
 }

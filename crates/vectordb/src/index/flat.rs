@@ -2,7 +2,6 @@
 
 use super::{is_unit_norm, Hit, InternalId, TopK, VectorIndex};
 use llmms_embed::{dot, Metric};
-use serde::{Deserialize, Serialize};
 
 /// Exact top-k index: a contiguous vector arena scanned linearly.
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// uses. For the collection sizes the platform handles at query time
 /// (session embeddings, document chunks, knowledge lookup), the exact scan
 /// is frequently faster than HNSW and is always the recall reference.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FlatIndex {
     pub(crate) metric: Metric,
     pub(crate) dim: usize,
@@ -27,7 +26,6 @@ pub struct FlatIndex {
     /// needs only dot products. Maintained incrementally on insert *and*
     /// delete (deleting the last offender re-enables the fast path), never
     /// by rescanning.
-    #[serde(default)]
     pub(crate) non_unit_live: usize,
 }
 
@@ -295,17 +293,5 @@ mod tests {
         idx.insert(0, &[1.0, 0.0]);
         let hits = idx.search(&[0.0, 0.0], 1, None);
         assert_eq!(hits[0].score, 0.0);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let idx = populated();
-        let json = serde_json::to_string(&idx).unwrap();
-        let back: FlatIndex = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.len(), idx.len());
-        assert_eq!(
-            back.search(&[1.0, 0.0], 1, None)[0].id,
-            idx.search(&[1.0, 0.0], 1, None)[0].id
-        );
     }
 }

@@ -42,7 +42,7 @@ impl Default for HnswConfig {
 }
 
 /// A graph node: its external id, tombstone flag and per-layer adjacency.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct Node {
     pub(crate) id: InternalId,
     pub(crate) deleted: bool,
@@ -74,7 +74,7 @@ impl Ord for Scored {
 }
 
 /// The HNSW index. See the module docs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HnswIndex {
     pub(crate) config: HnswConfig,
     pub(crate) metric: Metric,
@@ -90,7 +90,6 @@ pub struct HnswIndex {
     /// Count of vectors ever inserted whose L2 norm was not unit
     /// (tombstoned ones included — they still participate in traversal
     /// scoring, so the cosine fast path must stay off while any exist).
-    #[serde(default)]
     pub(crate) non_unit: usize,
 }
 
@@ -524,18 +523,6 @@ mod tests {
         for hit in hnsw.search(&query, 5, None) {
             let exact = llmms_embed::cosine(&query, &vs[hit.id as usize]);
             assert!((hit.score - exact).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn serde_roundtrip_preserves_search() {
-        let (idx, _, vs) = build(100, 8);
-        let json = serde_json::to_string(&idx).unwrap();
-        let back: HnswIndex = serde_json::from_str(&json).unwrap();
-        for q in vs.iter().take(3) {
-            let a: Vec<_> = idx.search(q, 5, None).iter().map(|h| h.id).collect();
-            let b: Vec<_> = back.search(q, 5, None).iter().map(|h| h.id).collect();
-            assert_eq!(a, b);
         }
     }
 }

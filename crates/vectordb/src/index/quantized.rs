@@ -12,10 +12,9 @@ use super::{Hit, InternalId, TopK, VectorIndex};
 use crate::index::FlatIndex;
 use llmms_embed::quant::{dot_i8, quantize};
 use llmms_embed::Metric;
-use serde::{Deserialize, Serialize};
 
 /// Exact top-k index over int8-quantized vectors.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QuantizedFlatIndex {
     pub(crate) metric: Metric,
     pub(crate) dim: usize,
@@ -279,18 +278,6 @@ mod tests {
         let ha = a.search(q, 3, None);
         let hb = b.search(q, 3, None);
         assert_eq!(ha, hb, "verbatim copy must score bit-identically");
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let vs = unit_vectors(5, 4);
-        let mut q = QuantizedFlatIndex::new(4, Metric::Cosine);
-        for (i, v) in vs.iter().enumerate() {
-            q.insert(i as InternalId, v);
-        }
-        let json = serde_json::to_string(&q).unwrap();
-        let back: QuantizedFlatIndex = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.search(&vs[0], 3, None), q.search(&vs[0], 3, None));
     }
 
     #[test]

@@ -34,7 +34,7 @@ use crate::index::{
     VectorIndex,
 };
 use llmms_embed::Metric;
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Segmentation knobs, fixed at collection creation.
@@ -74,7 +74,7 @@ impl Default for SegmentConfig {
 }
 
 /// The index payload of one segment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) enum SegmentIndex {
     /// Exact f32 scan.
     Flat(FlatIndex),
@@ -123,7 +123,7 @@ impl SegmentIndex {
 }
 
 /// One sealed, immutable segment and the id range it owns.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct Segment {
     /// Inclusive lower id bound.
     pub(crate) start: InternalId,
@@ -434,58 +434,6 @@ impl VectorIndex for SegmentedIndex {
     }
 }
 
-/// Wire format: a named object so the sealed `Arc`s (which the vendored
-/// serde cannot derive through) flatten to plain segment values.
-impl Serialize for SegmentedIndex {
-    fn serialize(&self) -> Value {
-        let mut obj = serde::Map::new();
-        obj.insert("kind".to_owned(), self.kind.serialize());
-        obj.insert("metric".to_owned(), self.metric.serialize());
-        obj.insert("dim".to_owned(), (self.dim as u64).serialize());
-        obj.insert("hnsw".to_owned(), self.hnsw.serialize());
-        obj.insert("seg".to_owned(), self.seg.serialize());
-        obj.insert(
-            "sealed".to_owned(),
-            Value::Array(self.sealed.iter().map(|s| s.as_ref().serialize()).collect()),
-        );
-        obj.insert("head".to_owned(), self.head.serialize());
-        obj.insert("head_start".to_owned(), self.head_start.serialize());
-        Value::Object(obj)
-    }
-}
-
-impl Deserialize for SegmentedIndex {
-    fn deserialize(value: &Value) -> Result<Self, Error> {
-        let get = |key: &str| -> Result<&Value, Error> {
-            value
-                .get(key)
-                .ok_or_else(|| Error::custom(format!("SegmentedIndex: missing field `{key}`")))
-        };
-        let sealed = match get("sealed")? {
-            Value::Array(items) => items
-                .iter()
-                .map(|v| Segment::deserialize(v).map(Arc::new))
-                .collect::<Result<Vec<_>, _>>()?,
-            other => {
-                return Err(Error::custom(format!(
-                    "SegmentedIndex: `sealed` must be an array, got {}",
-                    other.kind()
-                )))
-            }
-        };
-        Ok(Self {
-            kind: IndexKind::deserialize(get("kind")?)?,
-            metric: Metric::deserialize(get("metric")?)?,
-            dim: u64::deserialize(get("dim")?)? as usize,
-            hnsw: HnswConfig::deserialize(get("hnsw")?)?,
-            seg: SegmentConfig::deserialize(get("seg")?)?,
-            sealed,
-            head: SegmentIndex::deserialize(get("head")?)?,
-            head_start: InternalId::deserialize(get("head_start")?)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -640,20 +588,5 @@ mod tests {
         assert_eq!(idx.len(), 20);
         let hits = idx.search(&vs[20], 1, None);
         assert_eq!(hits[0].id, 20);
-    }
-
-    #[test]
-    fn serde_roundtrip_preserves_results() {
-        let seg = SegmentConfig {
-            quantize_sealed: true,
-            ..small_config()
-        };
-        let (idx, vs) = build(25, 8, seg);
-        let json = serde_json::to_string(&idx).unwrap();
-        let back: SegmentedIndex = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.sealed_count(), idx.sealed_count());
-        for q in vs.iter().step_by(6) {
-            assert_eq!(back.search(q, 5, None), idx.search(q, 5, None));
-        }
     }
 }

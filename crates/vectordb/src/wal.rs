@@ -34,7 +34,6 @@
 use crate::collection::{Collection, CollectionConfig, Record};
 use crate::error::DbError;
 use crate::persist;
-use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -45,7 +44,7 @@ use std::time::Instant;
 const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
 
 /// Durability knobs for a persistent [`crate::Database`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StorageConfig {
     /// Fsync the WAL after every N appended frames. `1` makes every commit
     /// durable before the mutation is applied; larger values batch the

@@ -1,12 +1,11 @@
 //! Tour of the implemented §9.5 / §8.4 extensions: semantic routing with
 //! feedback learning, the OUA+MAB hybrid, natural-language configuration,
-//! contextual memory graphs, and multi-agent collaboration.
+//! and contextual memory graphs.
 //!
 //! ```sh
 //! cargo run --example extensions_tour
 //! ```
 
-use llmms::agents::VerifierConfig;
 use llmms::core::{HybridConfig, OrchestratorConfig, RouterConfig, Strategy, TaskIndex};
 use llmms::platform::AskOptions;
 use llmms::Platform;
@@ -106,26 +105,4 @@ fn main() {
     {
         println!("remembered from {session_id}: Q: {question} -> A: {answer}\n");
     }
-
-    // --- 5. Multi-agent collaboration (§9.5) --------------------------------
-    println!("== researcher / answerer / verifier collaboration ==");
-    platform
-        .ingest_document(
-            "station",
-            "The orbital research station Halcyon completes one orbit every 92 minutes.",
-        )
-        .unwrap();
-    let out = platform
-        .collaborate(
-            "How long does Halcyon take to complete an orbit?",
-            &VerifierConfig::default(),
-        )
-        .unwrap();
-    for note in &out.notes {
-        println!("  {note}");
-    }
-    println!(
-        "final ({}, verified={}): {}",
-        out.model, out.verified, out.answer
-    );
 }

@@ -1,5 +1,5 @@
 //! End-to-end integration: the full query lifecycle of thesis §6.1 across
-//! every crate — tokenizer-level accounting, embedding, vector retrieval,
+//! every crate — token accounting, embedding, vector retrieval,
 //! prompt construction, session continuity, orchestration and selection.
 
 use llmms::core::{MabConfig, OrchestratorConfig, OuaConfig, Strategy};

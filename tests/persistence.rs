@@ -149,21 +149,3 @@ fn dataset_generation_is_stable_across_processes() {
     let ids2: Vec<&str> = again.items.iter().map(|i| i.id.as_str()).collect();
     assert_eq!(ids, ids2);
 }
-
-#[test]
-fn tokenizer_survives_serialization() {
-    use llmms::tokenizer::{Tokenizer, TokenizerConfig};
-    let corpus = [
-        "the quick brown fox jumps over the lazy dog",
-        "pack my box with five dozen liquor jugs",
-    ];
-    let tok = Tokenizer::train(corpus, &TokenizerConfig::default()).unwrap();
-    let path = tmp("tokenizer.json");
-    std::fs::write(&path, serde_json::to_string(&tok).unwrap()).unwrap();
-    let mut back: llmms::tokenizer::Tokenizer =
-        serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-    back.rebuild();
-    let text = "the quick brown dog";
-    assert_eq!(back.encode(text), tok.encode(text));
-    std::fs::remove_file(&path).ok();
-}
