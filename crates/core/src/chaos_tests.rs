@@ -10,8 +10,11 @@
 #![cfg(test)]
 
 use crate::config::{MabConfig, OrchestratorConfig, OuaConfig, Strategy};
+use crate::error::OrchestratorError;
+use crate::events::OrchestrationEvent;
 use crate::hybrid::HybridConfig;
 use crate::orchestrator::Orchestrator;
+use crate::{RouterConfig, TaskIndex};
 use llmms_models::chaos::{ChaosModel, FaultKind};
 use llmms_models::{
     BreakerConfig, BreakerState, Chunk, DoneReason, GenOptions, GenerationSession, KnowledgeEntry,
@@ -723,46 +726,189 @@ fn brownout_level_survives_faulty_pool_and_stamps_result() {
     assert!(r.total_tokens <= 96);
 }
 
+/// A router over `preferred`, which the test question is routed to.
+fn router(preferred: &str) -> Strategy {
+    Strategy::Routed(RouterConfig::new(TaskIndex::build(
+        &[(
+            "geography",
+            &["what is the capital of france", "which city is the capital"][..],
+            preferred,
+        )],
+        &llmms_embed::default_embedder(),
+    )))
+}
+
 /// A backend whose session *panics* (an adapter bug, not a reported error)
-/// must not crash the query: the executor catches the unwind, the round
-/// barrier fails the poisoned arm in place — without committing its budget
-/// lease — and the survivors answer. Runs the parallel OUA path, where the
-/// panic unwinds on a pool worker rather than the coordinator thread.
+/// must not crash the query under any strategy. A fanned-out arm's panic
+/// unwinds on a pool worker and the executor catches it; a one-target round
+/// (every MAB pull, every single-model round) generates on the calling
+/// thread and catches it there. Either way the poisoned arm fails in place
+/// — without being charged for the call — and the survivors answer. With no
+/// survivor the query is `AllModelsFailed`, not a panic.
 #[test]
 fn panicking_backend_fails_its_arm_not_the_query() {
-    let store = knowledge();
-    let models = vec![
-        sim("healthy-a", &store),
-        sim("healthy-b", &store),
-        faulty("buggy-adapter", FaultKind::PanicAfterN { n: 1 }, 16, &store),
-    ];
-    let o = orchestrator(Strategy::Oua(OuaConfig::default()), 96, Some(5_000));
-    let r = o.run(&models, QUESTION).unwrap();
-    assert!(r.total_tokens <= 96, "no overspend past the lost lease");
-    let sum: usize = r.outcomes.iter().map(|o| o.tokens).sum();
-    assert_eq!(sum, r.total_tokens, "accounting survives a poisoned arm");
-    let winner = &r.outcomes[r.best];
-    assert!(
-        winner.model.starts_with("healthy"),
-        "healthy arm wins, got {}",
-        winner.model
-    );
-    assert!(r.response().contains("Paris"), "answer: {}", r.response());
-    let buggy = r
-        .outcomes
-        .iter()
-        .find(|o| o.model == "buggy-adapter")
-        .expect("buggy arm reported");
-    if buggy.failed {
-        assert!(r.degraded, "a lost arm must mark the result degraded");
+    for strategy in [
+        Strategy::Oua(OuaConfig::default()),
+        Strategy::Mab(MabConfig::default()),
+        Strategy::Hybrid(HybridConfig::default()),
+        router("not-in-pool"),
+    ] {
+        let store = knowledge();
+        let models = vec![
+            sim("healthy-a", &store),
+            sim("healthy-b", &store),
+            faulty("buggy-adapter", FaultKind::PanicAfterN { n: 1 }, 16, &store),
+        ];
+        let o = orchestrator(strategy, 96, Some(5_000));
+        let r = o.run(&models, QUESTION).unwrap();
         assert!(
-            buggy
-                .error
-                .as_deref()
-                .unwrap_or_default()
-                .contains("poisoned"),
-            "failure names the poison: {:?}",
-            buggy.error
+            r.total_tokens <= 96,
+            "{}: no overspend past the lost lease",
+            r.strategy
         );
+        let sum: usize = r.outcomes.iter().map(|o| o.tokens).sum();
+        assert_eq!(
+            sum, r.total_tokens,
+            "{}: accounting survives a poisoned arm",
+            r.strategy
+        );
+        let winner = &r.outcomes[r.best];
+        assert!(
+            winner.model.starts_with("healthy"),
+            "{}: healthy arm wins, got {}",
+            r.strategy,
+            winner.model
+        );
+        assert!(
+            r.response().contains("Paris"),
+            "{}: answer: {}",
+            r.strategy,
+            r.response()
+        );
+        let buggy = r
+            .outcomes
+            .iter()
+            .find(|o| o.model == "buggy-adapter")
+            .expect("buggy arm reported");
+        if buggy.failed {
+            assert!(
+                r.degraded,
+                "{}: a lost arm must mark the result degraded",
+                r.strategy
+            );
+            assert!(
+                buggy
+                    .error
+                    .as_deref()
+                    .unwrap_or_default()
+                    .contains("poisoned"),
+                "{}: failure names the poison: {:?}",
+                r.strategy,
+                buggy.error
+            );
+        }
+    }
+    for strategy in [
+        Strategy::Single,
+        Strategy::Oua(OuaConfig::default()),
+        Strategy::Mab(MabConfig::default()),
+        Strategy::Hybrid(HybridConfig::default()),
+        router("buggy-solo"),
+    ] {
+        let store = knowledge();
+        let models = vec![faulty(
+            "buggy-solo",
+            FaultKind::PanicAfterN { n: 0 },
+            17,
+            &store,
+        )];
+        let label = strategy.label();
+        let o = orchestrator(strategy, 96, Some(5_000));
+        assert_eq!(
+            o.run(&models, QUESTION).unwrap_err(),
+            OrchestratorError::AllModelsFailed,
+            "{label}"
+        );
+    }
+}
+
+/// Every strategy reports a round the same way, whatever fails in it: one
+/// `RoundStarted` per counted round, a `ModelChunk` only when it carries
+/// tokens or a done reason, and each failed arm as its `Failed` chunk
+/// immediately followed by `ModelFailed`. The single-model runs (`Single`
+/// and the router's solo dispatch) go to the stalling arm, so they end
+/// `AllModelsFailed`; their streamed events are checked all the same.
+#[test]
+fn every_strategy_reports_rounds_and_failures_alike() {
+    for strategy in [
+        Strategy::Single,
+        Strategy::Oua(OuaConfig::default()),
+        Strategy::Mab(MabConfig::default()),
+        Strategy::Hybrid(HybridConfig::default()),
+        router("wedged"),
+        router("not-in-pool"),
+    ] {
+        let store = knowledge();
+        let mut models = vec![
+            faulty("wedged", FaultKind::Stall, 18, &store),
+            sim("healthy", &store),
+            faulty(
+                "dies-midway",
+                FaultKind::ErrorAfterN {
+                    n: 2,
+                    transient: false,
+                },
+                19,
+                &store,
+            ),
+            faulty("lossy", FaultKind::Flaky { p: 0.9 }, 20, &store),
+        ];
+        if strategy == Strategy::Single {
+            models.truncate(1);
+        }
+        let label = strategy.label();
+        let o = orchestrator(strategy, 96, Some(5_000));
+        let (tx, rx) = crossbeam_channel::unbounded();
+        let outcome = o.run_streaming(&models, QUESTION, tx);
+        let events: Vec<OrchestrationEvent> = rx.iter().collect();
+        for event in &events {
+            if let OrchestrationEvent::ModelChunk { tokens, done, .. } = event {
+                assert!(
+                    *tokens > 0 || done.is_some(),
+                    "{label}: empty chunk reported: {event:?}"
+                );
+            }
+        }
+        let mut failed: Vec<&str> = Vec::new();
+        for (k, event) in events.iter().enumerate() {
+            let OrchestrationEvent::ModelFailed { model, .. } = event else {
+                continue;
+            };
+            assert!(
+                k > 0
+                    && matches!(
+                        &events[k - 1],
+                        OrchestrationEvent::ModelChunk { model: m, done: Some(DoneReason::Failed), .. }
+                            if m == model
+                    ),
+                "{label}: {model}'s failure follows its Failed chunk: {events:?}"
+            );
+            failed.push(model.as_str());
+        }
+        assert!(!failed.is_empty(), "{label}: no arm failed");
+        failed.sort_unstable();
+        match outcome {
+            Ok(r) => {
+                let started = events
+                    .iter()
+                    .filter(|e| matches!(e, OrchestrationEvent::RoundStarted { .. }))
+                    .count();
+                assert_eq!(started, r.rounds, "{label}: one RoundStarted per round");
+                let mut expected = r.failed_models();
+                expected.sort_unstable();
+                assert_eq!(failed, expected, "{label}: each failed arm fails once");
+            }
+            Err(e) => assert_eq!(e, OrchestratorError::AllModelsFailed, "{label}"),
+        }
     }
 }

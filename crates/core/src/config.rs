@@ -157,7 +157,7 @@ pub enum Strategy {
     /// Multi-Armed Bandit with UCB1.
     Mab(MabConfig),
     /// Cognitive routing via a semantic task index (§9.5 extension).
-    Routed(crate::routed::RouterConfig),
+    Routed(crate::router::RouterConfig),
     /// OUA probe + MAB exploitation (the §8.4 hybrid).
     Hybrid(crate::hybrid::HybridConfig),
 }
@@ -223,11 +223,6 @@ pub struct OrchestratorConfig {
     /// Per-model circuit-breaker policy, consulted when sessions start.
     #[serde(default)]
     pub breaker: BreakerConfig,
-    /// Wall-clock cap on one scoring round (OUA) or pull sweep, in
-    /// milliseconds; models that did not get a chunk in time wait for the
-    /// next round. `None` disables the cap.
-    #[serde(default)]
-    pub round_deadline_ms: Option<u64>,
     /// Wall-clock cap on the whole query, in milliseconds. When it expires,
     /// every in-flight session is force-aborted and the best response so
     /// far is returned (degraded); a query with no output at all fails with
@@ -235,7 +230,7 @@ pub struct OrchestratorConfig {
     /// cap.
     #[serde(default)]
     pub query_deadline_ms: Option<u64>,
-    /// Hard cap on rounds (OUA) / pulls (MAB) per query, independent of
+    /// Hard cap on rounds per query (a MAB pull is a round), independent of
     /// the token budget. A run cut by this cap returns the best response
     /// so far, marked `degraded`. `None` disables the cap; brownout
     /// level 2 installs one per query.
@@ -258,7 +253,6 @@ impl Default for OrchestratorConfig {
             trace_path: None,
             retry: RetryConfig::default(),
             breaker: BreakerConfig::default(),
-            round_deadline_ms: None,
             query_deadline_ms: None,
             max_rounds: None,
             brownout: crate::brownout::BrownoutConfig::default(),
@@ -338,13 +332,6 @@ impl OrchestratorConfigBuilder {
         self
     }
 
-    /// Cap each scoring round at `ms` wall-clock milliseconds.
-    #[must_use]
-    pub fn round_deadline_ms(mut self, ms: u64) -> Self {
-        self.config.round_deadline_ms = Some(ms);
-        self
-    }
-
     /// Cap the whole query at `ms` wall-clock milliseconds.
     #[must_use]
     pub fn query_deadline_ms(mut self, ms: u64) -> Self {
@@ -352,7 +339,7 @@ impl OrchestratorConfigBuilder {
         self
     }
 
-    /// Cap rounds (OUA) / pulls (MAB) per query.
+    /// Cap rounds per query.
     #[must_use]
     pub fn max_rounds(mut self, rounds: usize) -> Self {
         self.config.max_rounds = Some(rounds);
@@ -396,7 +383,7 @@ mod tests {
         assert_eq!(Strategy::Oua(OuaConfig::default()).label(), "LLM-MS OUA");
         assert_eq!(Strategy::Mab(MabConfig::default()).label(), "LLM-MS MAB");
 
-        let router = crate::routed::RouterConfig::new(crate::router::TaskIndex::default());
+        let router = crate::router::RouterConfig::new(crate::router::TaskIndex::default());
         let all = [
             Strategy::Single,
             Strategy::Oua(OuaConfig::default()),
@@ -441,7 +428,9 @@ mod tests {
     fn old_configs_without_robustness_knobs_still_parse() {
         // A config serialized before the failure-handling fields existed.
         // It also still carries the three scoring-engine switches that
-        // were removed with their twin paths: unknown keys are ignored.
+        // were removed with their twin paths, and the round deadline that
+        // was removed because it never cut a round: unknown keys are
+        // ignored.
         let json = r#"{
             "token_budget": 512,
             "strategy": "Single",
@@ -450,12 +439,12 @@ mod tests {
             "record_events": false,
             "incremental_scoring": false,
             "parallel_scoring": false,
-            "parallel_generation": false
+            "parallel_generation": false,
+            "round_deadline_ms": 50
         }"#;
         let c: OrchestratorConfig = serde_json::from_str(json).unwrap();
         assert_eq!(c.retry, RetryConfig::default());
         assert_eq!(c.breaker, BreakerConfig::default());
-        assert_eq!(c.round_deadline_ms, None);
         assert_eq!(c.query_deadline_ms, None);
         // Overload-control knobs postdate everything above; old configs get
         // "no cap" and default brownout thresholds.
@@ -463,6 +452,28 @@ mod tests {
         assert_eq!(c.brownout, crate::brownout::BrownoutConfig::default());
         assert_eq!(c.token_budget, 512);
         assert_eq!(c.strategy, Strategy::Single);
+
+        // The hybrid once carried its own Eq. 6.1 weights, which phase 2
+        // ignored; both phases now score with `mab.weights`.
+        let json = r#"{"Hybrid": {
+            "weights": {"alpha": 0.5, "beta": 0.5},
+            "probe_rounds": 2,
+            "probe_tokens": 4,
+            "prune_margin": 0.15,
+            "mab": {
+                "weights": {"alpha": 0.7, "beta": 0.3},
+                "gamma0": 0.3,
+                "decay": true,
+                "pull_tokens": 1,
+                "selection": "FinalScore",
+                "early_stop": false
+            }
+        }}"#;
+        let strategy: Strategy = serde_json::from_str(json).unwrap();
+        assert_eq!(
+            strategy,
+            Strategy::Hybrid(crate::hybrid::HybridConfig::default())
+        );
     }
 
     #[test]
@@ -487,12 +498,10 @@ mod tests {
                 failure_threshold: 7,
                 ..BreakerConfig::default()
             })
-            .round_deadline_ms(100)
             .query_deadline_ms(2000)
             .build();
         assert_eq!(c.retry.max_retries, 5);
         assert_eq!(c.breaker.failure_threshold, 7);
-        assert_eq!(c.round_deadline_ms, Some(100));
         assert_eq!(c.query_deadline_ms, Some(2000));
     }
 

@@ -1,11 +1,11 @@
-//! Wall-clock deadlines for orchestration loops, plus the ambient
-//! per-query deadline that downstream layers (federation clients, RAG)
-//! consult to learn how much budget is left.
+//! Wall-clock deadlines for the round engine, plus the ambient per-query
+//! deadline that downstream layers (federation clients, RAG) consult to
+//! learn how much budget is left.
 //!
-//! The strategies are synchronous, so a deadline cannot preempt a model
-//! mid-chunk; instead every loop checks its [`Deadline`] between chunks and
-//! force-aborts in-flight sessions once it expires. That bounds a stalled
-//! or saturated backend to one chunk's worth of overshoot.
+//! A deadline cannot preempt a model mid-chunk; instead the round engine
+//! checks the query's [`Deadline`] between rounds and force-aborts in-flight
+//! sessions once it expires. That bounds a stalled or saturated backend to
+//! one round's worth of overshoot.
 //!
 //! The *ambient* deadline is a thread-local expiry instant installed by the
 //! orchestrator for the duration of a query (mirroring

@@ -9,8 +9,8 @@
 //! * The parallel round engine: *bit-identical* to generating arm by arm on
 //!   the calling thread — same winner, prunes, rounds, token accounting,
 //!   retry/backoff bookkeeping, and the exact same event trace — including
-//!   under injected transient/fatal faults, budget contention (deferred
-//!   leases), and round-deadline cuts.
+//!   under injected transient/fatal faults and budget contention
+//!   (deferred leases).
 //!
 //! The reference legs are test code: [`crate::reference`] selects them for
 //! the current thread, and only `runpool::generate_round` and
@@ -27,7 +27,7 @@ use llmms_models::chaos::{ChaosModel, FaultKind};
 use llmms_models::{KnowledgeEntry, KnowledgeStore, ModelProfile, SharedModel, SimLlm};
 use std::sync::Arc;
 
-fn knowledge() -> Arc<KnowledgeStore> {
+pub(crate) fn knowledge() -> Arc<KnowledgeStore> {
     Arc::new(KnowledgeStore::build(
         vec![KnowledgeEntry {
             id: "q1".into(),
@@ -43,7 +43,7 @@ fn knowledge() -> Arc<KnowledgeStore> {
 
 /// A 4-model pool with spread-out skills so scoring decisions (prune, early
 /// win, bandit concentration) actually trigger.
-fn pool(store: &Arc<KnowledgeStore>) -> Vec<SharedModel> {
+pub(crate) fn pool(store: &Arc<KnowledgeStore>) -> Vec<SharedModel> {
     [950u16, 700, 450, 150]
         .iter()
         .enumerate()
@@ -86,7 +86,6 @@ fn run_parallel_cfg(
     models: &[SharedModel],
     parallel_gen: bool,
     token_budget: usize,
-    round_deadline_ms: Option<u64>,
 ) -> OrchestrationResult {
     let o = Orchestrator::new(
         llmms_embed::default_embedder(),
@@ -96,7 +95,6 @@ fn run_parallel_cfg(
             temperature: 0.3,
             seed: 42,
             record_events: true,
-            round_deadline_ms,
             ..OrchestratorConfig::default()
         },
     );
@@ -289,8 +287,8 @@ fn parallel_generation_equals_sequential() {
     let store = knowledge();
     let models = pool(&store);
     for strategy in parallel_strategies() {
-        let par = run_parallel_cfg(strategy.clone(), &models, true, 160, None);
-        let seq = run_parallel_cfg(strategy, &models, false, 160, None);
+        let par = run_parallel_cfg(strategy.clone(), &models, true, 160);
+        let seq = run_parallel_cfg(strategy, &models, false, 160);
         assert_equivalent(&par, &seq);
         assert_identical_trace(&par, &seq);
     }
@@ -322,8 +320,8 @@ fn parallel_generation_survives_backend_faults() {
         })
         .collect();
     for strategy in parallel_strategies() {
-        let par = run_parallel_cfg(strategy.clone(), &models, true, 160, None);
-        let seq = run_parallel_cfg(strategy, &models, false, 160, None);
+        let par = run_parallel_cfg(strategy.clone(), &models, true, 160);
+        let seq = run_parallel_cfg(strategy, &models, false, 160);
         assert_equivalent(&par, &seq);
         assert_identical_trace(&par, &seq);
         assert!(
@@ -344,8 +342,8 @@ fn parallel_replays_lease_deferral_under_contention() {
     let mut any_exhausted = false;
     for token_budget in [10, 21, 47, 64] {
         for strategy in parallel_strategies() {
-            let par = run_parallel_cfg(strategy.clone(), &models, true, token_budget, None);
-            let seq = run_parallel_cfg(strategy, &models, false, token_budget, None);
+            let par = run_parallel_cfg(strategy.clone(), &models, true, token_budget);
+            let seq = run_parallel_cfg(strategy, &models, false, token_budget);
             assert_equivalent(&par, &seq);
             assert_identical_trace(&par, &seq);
             any_exhausted |= seq.budget_exhausted;
@@ -355,19 +353,4 @@ fn parallel_replays_lease_deferral_under_contention() {
     // last token (truncated grants and deferred leases at the edge), or the
     // contention claim above is vacuous.
     assert!(any_exhausted, "no budget in the sweep was exhausted");
-}
-
-#[test]
-fn parallel_replays_round_deadline_cuts() {
-    // An already-expired round deadline cuts every round before any arm
-    // generates; both paths must emit the same DeadlineExceeded trace and
-    // settle on the same (empty-handed) result.
-    let store = knowledge();
-    let models = pool(&store);
-    for strategy in parallel_strategies() {
-        let par = run_parallel_cfg(strategy.clone(), &models, true, 160, Some(0));
-        let seq = run_parallel_cfg(strategy, &models, false, 160, Some(0));
-        assert_equivalent(&par, &seq);
-        assert_identical_trace(&par, &seq);
-    }
 }

@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// One event in an orchestration run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum OrchestrationEvent {
-    /// A new scoring round (OUA) or pull (MAB) began.
+    /// A round began (a MAB pull is a round).
     RoundStarted {
         /// 1-based round/pull counter.
         round: usize,
@@ -37,7 +37,7 @@ pub enum OrchestrationEvent {
         /// `(model, Eq. 6.1 score)` pairs, in pool order.
         scores: Vec<(String, f64)>,
     },
-    /// OUA pruned the worst model.
+    /// A policy pruned a model (OUA's worst, or a hybrid probe laggard).
     ModelPruned {
         /// The pruned model.
         model: String,

@@ -57,10 +57,12 @@ pub mod budget;
 mod chaos_tests;
 pub mod config;
 pub mod deadline;
+mod engine;
 mod equivalence_tests;
 pub mod error;
 pub mod events;
 mod failure_tests;
+mod golden_tests;
 mod hybrid;
 mod invariant_tests;
 mod mab;
@@ -70,11 +72,9 @@ mod oua;
 mod reference;
 pub mod result;
 pub mod reward;
-mod routed;
 pub mod router;
 mod runpool;
 pub mod scoring;
-mod single;
 
 pub use brownout::{BrownoutConfig, BrownoutController, PressureInputs};
 pub use budget::{Lease, TokenBudget};
@@ -89,6 +89,5 @@ pub use llmms_exec::Priority as QueryPriority;
 pub use orchestrator::{Orchestrator, QueryOverrides};
 pub use result::{ModelOutcome, OrchestrationResult};
 pub use reward::{combined_score, inter_model_agreement, score_all, RewardWeights};
-pub use routed::RouterConfig;
-pub use router::{TaskIndex, TaskProfile};
+pub use router::{RouterConfig, TaskIndex, TaskProfile};
 pub use scoring::ScoreCache;

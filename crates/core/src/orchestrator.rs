@@ -1,11 +1,14 @@
 //! The [`Orchestrator`] — the platform's computation-layer entry point.
 
 use crate::config::{OrchestratorConfig, Strategy};
-use crate::deadline::Deadline;
+use crate::deadline::{self, Deadline};
+use crate::engine::{self, Policy, Single};
 use crate::error::OrchestratorError;
 use crate::events::EventRecorder;
+use crate::hybrid::Hybrid;
+use crate::mab::Mab;
+use crate::oua::Oua;
 use crate::result::OrchestrationResult;
-use crate::{deadline, hybrid, mab, oua, routed, single};
 use llmms_embed::SharedEmbedder;
 use llmms_exec::Priority as QueryPriority;
 use llmms_models::{HealthRegistry, SharedModel};
@@ -281,6 +284,9 @@ impl Orchestrator {
         } else {
             models
         };
+        if matches!(config.strategy, Strategy::Single) && models.len() != 1 {
+            return Err(OrchestratorError::SingleNeedsOneModel { got: models.len() });
+        }
         let span = llmms_obs::Registry::global().span("orchestrate");
         // Request-scoped tracing: hang the orchestration subtree off the
         // caller's current span (the HTTP request span when serving) and
@@ -311,58 +317,29 @@ impl Orchestrator {
         } else {
             None
         };
-        let result = match &config.strategy {
-            Strategy::Single => {
-                if models.len() != 1 {
-                    return Err(OrchestratorError::SingleNeedsOneModel { got: models.len() });
-                }
-                single::run(
-                    &models[0],
-                    prompt,
-                    &self.embedder,
-                    &config,
-                    &self.health,
-                    recorder,
-                )
-            }
-            Strategy::Oua(cfg) => oua::run(
-                models,
-                prompt,
-                &self.embedder,
-                cfg,
-                &config,
-                &self.health,
-                recorder,
-            ),
-            Strategy::Mab(cfg) => mab::run(
-                models,
-                prompt,
-                &self.embedder,
-                cfg,
-                &config,
-                &self.health,
-                recorder,
-            ),
-            Strategy::Routed(cfg) => routed::run(
-                models,
-                prompt,
-                &self.embedder,
-                cfg,
-                &config,
-                &self.health,
-                recorder,
-            ),
-            Strategy::Hybrid(cfg) => hybrid::run(
-                models,
-                prompt,
-                &self.embedder,
-                cfg,
-                &config,
-                &self.health,
-                recorder,
-            ),
+        let embedding = {
+            let tctx = llmms_obs::trace::current();
+            let _span = tctx.scope("embed_query");
+            Arc::new(self.embedder.embed(prompt))
         };
-        let mut result = result;
+        // The one place strategies become policies over the round engine.
+        let n = models.len();
+        let (pool, mut policy): (&[SharedModel], Box<dyn Policy>) = match &config.strategy {
+            Strategy::Single => (models, Box::new(Single)),
+            Strategy::Oua(cfg) => (models, Box::new(Oua::new(cfg, n))),
+            Strategy::Mab(cfg) => (models, Box::new(Mab::new(cfg, n))),
+            Strategy::Hybrid(cfg) => (models, Box::new(Hybrid::new(cfg, n))),
+            Strategy::Routed(cfg) => cfg.route(models, &embedding, &self.health),
+        };
+        let query = engine::Query {
+            prompt,
+            embedding,
+            deadline: query_deadline,
+            config: &config,
+            embedder: &self.embedder,
+            health: &self.health,
+        };
+        let mut result = engine::run(&query, pool, policy.as_mut(), recorder);
         result.brownout_level = overrides.brownout_level;
         if overrides.brownout_level > 0 {
             result.degraded = true;
@@ -781,7 +758,7 @@ mod tests {
             )],
             &embedder,
         );
-        let o = orchestrator(Strategy::Routed(crate::routed::RouterConfig::new(index)));
+        let o = orchestrator(Strategy::Routed(crate::router::RouterConfig::new(index)));
         let r = o.run(&pool, "What is the capital of France?").unwrap();
         assert_eq!(r.strategy, "LLM-MS Router");
         assert_eq!(r.best_outcome().model, "geo-expert");
@@ -799,7 +776,7 @@ mod tests {
             &[("geography", &["capital city"][..], "not-in-pool")],
             &embedder,
         );
-        let o = orchestrator(Strategy::Routed(crate::routed::RouterConfig::new(index)));
+        let o = orchestrator(Strategy::Routed(crate::router::RouterConfig::new(index)));
         let r = o.run(&pool, "What is the capital of France?").unwrap();
         assert_eq!(r.strategy, "LLM-MS Router");
         // Fallback ran full OUA: every model participated.

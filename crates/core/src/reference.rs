@@ -5,7 +5,7 @@
 //! Exactly two places consult it: [`crate::runpool::generate_round`] (run
 //! every target inline, arm by arm) and [`crate::scoring::score_where`]
 //! (embed every response from scratch and score with
-//! [`crate::reward::score_all`]). The strategies never see it.
+//! [`crate::reward::score_all`]). The policies never see it.
 
 use std::cell::Cell;
 

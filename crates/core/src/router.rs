@@ -12,9 +12,64 @@
 //! ([`TaskIndex::record_feedback`], the §9.5 "self-improving orchestration"
 //! loop).
 
+use crate::config::OuaConfig;
+use crate::engine::{Policy, Single};
+use crate::oua::Oua;
 use llmms_embed::{cosine_embeddings, Embedding, SharedEmbedder};
+use llmms_models::{BreakerState, HealthRegistry, SharedModel};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+
+/// Configuration of the routed strategy.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct RouterConfig {
+    /// The semantic task index queries are routed with.
+    pub index: TaskIndex,
+    /// Minimum intent-detection confidence (cosine to the winning
+    /// centroid); below it the router falls back to full OUA orchestration
+    /// over the pool rather than trusting a wild guess.
+    pub min_confidence: f64,
+    /// OUA parameters used on fallback.
+    pub fallback: OuaConfig,
+}
+
+impl RouterConfig {
+    /// Route with `index` and default confidence/fallback settings.
+    pub fn new(index: TaskIndex) -> Self {
+        Self {
+            index,
+            min_confidence: 0.05,
+            fallback: OuaConfig::default(),
+        }
+    }
+
+    /// The arms and policy for a query embedded as `query`: the preferred
+    /// model of the detected task alone under the single-model policy, or
+    /// OUA over the whole pool when detection is unconfident or the
+    /// preferred model is absent or unhealthy.
+    pub(crate) fn route<'m>(
+        &self,
+        models: &'m [SharedModel],
+        query: &Embedding,
+        health: &HealthRegistry,
+    ) -> (&'m [SharedModel], Box<dyn Policy>) {
+        if let Some((task, confidence)) = self.index.detect(query) {
+            if f64::from(confidence) >= self.min_confidence {
+                if let Some(i) = models.iter().position(|m| m.name() == task.preferred_model) {
+                    // Only dispatch solo to a healthy specialist. A tripped or
+                    // probing breaker sends the query to the fallback pool
+                    // instead, where `start_all` runs the recovery probe with
+                    // the other models as safety net (`admit` is not called
+                    // here — it would consume the half-open probe slot).
+                    if health.state(models[i].name()) == BreakerState::Closed {
+                        return (&models[i..=i], Box::new(Single));
+                    }
+                }
+            }
+        }
+        (models, Box::new(Oua::new(&self.fallback, models.len())))
+    }
+}
 
 /// One routable task category.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

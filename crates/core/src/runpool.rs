@@ -1,4 +1,4 @@
-//! Internal pool of in-flight generation sessions shared by the strategies.
+//! Internal pool of in-flight generation sessions the round engine drives.
 //!
 //! `ModelRun` is where failure handling is centralized: transient backend
 //! errors are retried with capped exponential backoff (accounted into the
@@ -130,9 +130,9 @@ pub(crate) struct ModelRun {
     health: Arc<HealthRegistry>,
     /// Whether this run already reported its terminal verdict to `health`.
     reported: bool,
-    /// Token count snapshotted each time the session leaves the run for an
-    /// off-thread [`GenJob`]. If the job panics the session is lost with it
-    /// and the permanent [`DeadSession`] reports zero; the floor keeps the
+    /// Token count snapshotted before each round's generation, on or off
+    /// thread. If the generation panics the session is lost with it and the
+    /// permanent [`DeadSession`] reports zero; the floor keeps the
     /// already-budget-charged tokens visible in [`ModelRun::tokens`] so
     /// accounting still balances for a poisoned arm.
     tokens_floor: usize,
@@ -395,6 +395,16 @@ impl ModelRun {
         if self.done().is_none() {
             self.session.abort();
         }
+    }
+
+    /// Fail the run whose generation panicked: its session is lost with
+    /// the unwind, and [`ModelRun::tokens`] falls back to the floor taken
+    /// before the call.
+    fn poison(&mut self, p: &llmms_exec::TaskPoisoned, trace: &llmms_obs::SpanContext) -> Chunk {
+        self.session = Box::new(DeadSession);
+        self.fail("panic", p.to_string());
+        arm_failed_span(self, trace);
+        Chunk::finished(DoneReason::Failed)
     }
 
     /// The embedding of the current partial response, lazily refreshed.
@@ -664,7 +674,7 @@ impl GenEmbedJob {
 /// call spent retries, and marks the span `Error` when the run terminally
 /// failed. The disabled-tracing path is one branch straight into
 /// [`ModelRun::generate`] — no allocation, no span.
-pub(crate) fn traced_generate(
+fn traced_generate(
     run: &mut ModelRun,
     requested: usize,
     budget: &mut TokenBudget,
@@ -700,7 +710,8 @@ pub(crate) fn traced_generate(
 /// in arm order), charging the shared budget. Arms whose lease is
 /// pessimistically covered generate concurrently on the executor;
 /// everything else — a round of fewer than two targets, deferred arms, zero
-/// requests, already-failed runs — generates inline at the barrier. Either
+/// requests, already-failed runs — generates inline at the barrier, its
+/// panic contained like a pool task's. Either
 /// way the returned `(arm, chunk)` list, all budget accounting, and all
 /// per-run state transitions are bit-identical to calling
 /// [`ModelRun::generate`] target by target.
@@ -726,7 +737,7 @@ pub(crate) fn generate_round(
     if inline {
         return targets
             .iter()
-            .map(|&(i, request)| (i, traced_generate(&mut runs[i], request, budget, trace)))
+            .map(|&(i, request)| (i, contained_generate(&mut runs[i], request, budget, trace)))
             .collect();
     }
     let requests: Vec<usize> = targets.iter().map(|&(_, request)| request).collect();
@@ -834,18 +845,8 @@ pub(crate) fn generate_round(
                     // A stall streak materializes only here, at the barrier:
                     // the worker saw an ordinary chunk, so the failure needs
                     // its own marker span.
-                    if was_chunk && chunk.done == Some(DoneReason::Failed) && recording {
-                        let now = llmms_obs::trace::tick_mark();
-                        let mut attrs = llmms_obs::trace::AttrList::new();
-                        attrs.push("model", Arc::clone(&runs[i].shared_name).into());
-                        attrs.push("error", runs[i].error.clone().unwrap_or_default().into());
-                        trace.record_span(
-                            "arm_failed",
-                            now,
-                            now,
-                            llmms_obs::SpanStatus::Error,
-                            attrs,
-                        );
+                    if was_chunk && chunk.done == Some(DoneReason::Failed) {
+                        arm_failed_span(&runs[i], trace);
                     }
                     chunk
                 }
@@ -854,29 +855,46 @@ pub(crate) fn generate_round(
                     // ungranted only strands headroom for this round, so the
                     // budget invariant (granted leases commit in full, in arm
                     // order) holds without touching the accountant.
-                    Some(p) => {
-                        runs[i].fail("panic", p.to_string());
-                        if recording {
-                            let now = llmms_obs::trace::tick_mark();
-                            let mut attrs = llmms_obs::trace::AttrList::new();
-                            attrs.push("model", Arc::clone(&runs[i].shared_name).into());
-                            attrs.push("error", p.to_string().into());
-                            trace.record_span(
-                                "arm_failed",
-                                now,
-                                now,
-                                llmms_obs::SpanStatus::Error,
-                                attrs,
-                            );
-                        }
-                        Chunk::finished(DoneReason::Failed)
-                    }
-                    None => traced_generate(&mut runs[i], request, budget, trace),
+                    Some(p) => runs[i].poison(&p, trace),
+                    None => contained_generate(&mut runs[i], request, budget, trace),
                 },
             };
             (i, chunk)
         })
         .collect()
+}
+
+/// [`traced_generate`] on the calling thread with the arm's panic
+/// contained the way the executor contains a fanned-out arm's: the arm
+/// fails in place, naming the poison, and nothing is charged for the call.
+fn contained_generate(
+    run: &mut ModelRun,
+    requested: usize,
+    budget: &mut TokenBudget,
+    trace: &llmms_obs::SpanContext,
+) -> Chunk {
+    let used = budget.used();
+    run.tokens_floor = run.session.tokens_generated();
+    match llmms_exec::run_contained(|| traced_generate(run, requested, budget, trace)) {
+        Ok(chunk) => chunk,
+        Err(p) => {
+            budget.refund(budget.used() - used);
+            run.poison(&p, trace)
+        }
+    }
+}
+
+/// A zero-length error `"arm_failed"` span naming the model and its error,
+/// for a failure the arm's own span could not record.
+fn arm_failed_span(run: &ModelRun, trace: &llmms_obs::SpanContext) {
+    if !trace.is_enabled() {
+        return;
+    }
+    let now = llmms_obs::trace::tick_mark();
+    let mut attrs = llmms_obs::trace::AttrList::new();
+    attrs.push("model", Arc::clone(&run.shared_name).into());
+    attrs.push("error", run.error.clone().unwrap_or_default().into());
+    trace.record_span("arm_failed", now, now, llmms_obs::SpanStatus::Error, attrs);
 }
 
 /// Record the parallel-round fan-out and busy/wall metrics. The speedup
@@ -994,18 +1012,6 @@ pub(crate) fn emit_round_chunks(
             });
         }
     }
-}
-
-/// Force-abort every still-active run (query deadline expiry).
-pub(crate) fn abort_all(runs: &mut [ModelRun]) {
-    for run in runs.iter_mut() {
-        run.force_abort();
-    }
-}
-
-/// Whether any run terminally failed — the degraded-result flag.
-pub(crate) fn any_failed(runs: &[ModelRun]) -> bool {
-    runs.iter().any(|r| r.failed)
 }
 
 /// Final-selection argmax with a robustness preference: among runs that

@@ -319,6 +319,18 @@ impl std::fmt::Display for TaskPoisoned {
 
 impl std::error::Error for TaskPoisoned {}
 
+/// Run `f` on the calling thread with the containment a pool task gets: a
+/// panic comes back as [`TaskPoisoned`] (and counts in
+/// `exec_task_panics_total`) instead of unwinding into the caller.
+pub fn run_contained<T>(f: impl FnOnce() -> T) -> Result<T, TaskPoisoned> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+        record_panic();
+        TaskPoisoned {
+            message: panic_message(payload.as_ref()),
+        }
+    })
+}
+
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -414,17 +426,7 @@ where
             // The wrapper owns panic reporting: exactly one send per task,
             // poison on unwind, so Batch::wait never hangs and never dies.
             let wrapped: Task = Box::new(move || {
-                let result = catch_unwind(AssertUnwindSafe(task));
-                let slot = match result {
-                    Ok(v) => Ok(v),
-                    Err(payload) => {
-                        record_panic();
-                        Err(TaskPoisoned {
-                            message: panic_message(payload.as_ref()),
-                        })
-                    }
-                };
-                let _ = done_tx.send((idx, slot));
+                let _ = done_tx.send((idx, run_contained(task)));
             });
             state.enqueue(handle.qid(), wrapped, enqueued_us);
         }
