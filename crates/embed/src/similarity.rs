@@ -10,8 +10,7 @@
 //! whole chunk in SIMD registers without needing `-ffast-math` re-association.
 //!
 //! The naive serial implementations live on in [`scalar`] as the oracle the
-//! kernels are proptested against (≤1e-5 divergence) and benchmarked against
-//! (`ann_snapshot` gates ≥2× speedup in CI).
+//! kernels are proptested against (≤1e-5 divergence).
 
 use crate::embedding::Embedding;
 use serde::{Deserialize, Serialize};
@@ -47,8 +46,7 @@ impl Metric {
 /// These are the semantic ground truth. The kernels above re-associate the
 /// reduction across eight lanes, which changes rounding but not meaning; the
 /// `kernels_track_scalar_oracle` proptest pins the divergence at ≤1e-5 on
-/// normalized data, and the `ann_snapshot` bench measures the speedup the
-/// re-association buys.
+/// normalized data.
 pub mod scalar {
     /// Serial single-accumulator dot product.
     pub fn dot(a: &[f32], b: &[f32]) -> f32 {

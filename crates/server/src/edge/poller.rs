@@ -9,8 +9,7 @@
 //! a blocking `epoll_wait` from another thread.
 
 use std::io;
-use std::net::SocketAddr;
-use std::os::fd::{AsRawFd, FromRawFd, RawFd};
+use std::os::fd::RawFd;
 use std::time::Duration;
 
 // x86_64 declares epoll_event packed; other ABIs use natural layout.
@@ -22,15 +21,6 @@ struct EpollEvent {
     data: u64,
 }
 
-// IPv4 socket address for the raw `connect` used by the bench client.
-#[repr(C)]
-struct SockAddrIn {
-    sin_family: u16,
-    sin_port: u16, // network byte order
-    sin_addr: u32, // network byte order
-    sin_zero: [u8; 8],
-}
-
 extern "C" {
     fn epoll_create1(flags: i32) -> i32;
     fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
@@ -39,8 +29,6 @@ extern "C" {
     fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
     fn write(fd: i32, buf: *const u8, count: usize) -> isize;
     fn close(fd: i32) -> i32;
-    fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
-    fn connect(fd: i32, addr: *const SockAddrIn, len: u32) -> i32;
     fn setsockopt(fd: i32, level: i32, optname: i32, optval: *const u8, optlen: u32) -> i32;
 }
 
@@ -60,10 +48,6 @@ const EFD_NONBLOCK: i32 = 0x800;
 
 const SOL_SOCKET: i32 = 1;
 const SO_SNDBUF: i32 = 7;
-const SO_RCVBUF: i32 = 8;
-
-const AF_INET: i32 = 2;
-const SOCK_STREAM: i32 = 1;
 
 fn last_os_error() -> io::Error {
     io::Error::last_os_error()
@@ -315,57 +299,89 @@ fn set_buf_opt(fd: RawFd, opt: i32, bytes: usize) -> io::Result<()> {
 /// # Errors
 ///
 /// `setsockopt` failures.
-pub fn set_send_buffer(fd: RawFd, bytes: usize) -> io::Result<()> {
+pub(crate) fn set_send_buffer(fd: RawFd, bytes: usize) -> io::Result<()> {
     set_buf_opt(fd, SO_SNDBUF, bytes)
 }
 
-/// Connect to an IPv4 address with `SO_RCVBUF` clamped *before* the
-/// connect, so the small window is what the handshake advertises. The
-/// capacity bench uses this to make each client swallow only a few KiB —
-/// keeping 10k streams parked in server-side outboxes instead of being
-/// absorbed by default-sized kernel buffers.
-///
-/// # Errors
-///
-/// Socket/connect failures; IPv6 addresses are rejected.
-pub fn connect_with_rcvbuf(addr: SocketAddr, rcvbuf: usize) -> io::Result<std::net::TcpStream> {
-    let SocketAddr::V4(v4) = addr else {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "connect_with_rcvbuf is IPv4-only",
-        ));
-    };
-    let fd = unsafe { socket(AF_INET, SOCK_STREAM, 0) };
-    if fd < 0 {
-        return Err(last_os_error());
+/// A client socket with a clamped receive window, for transport tests.
+#[cfg(test)]
+pub(crate) mod test_client {
+    use super::{last_os_error, set_buf_opt};
+    use std::io;
+    use std::net::SocketAddr;
+    use std::os::fd::{AsRawFd, FromRawFd};
+
+    // IPv4 socket address for the raw `connect`.
+    #[repr(C)]
+    struct SockAddrIn {
+        sin_family: u16,
+        sin_port: u16, // network byte order
+        sin_addr: u32, // network byte order
+        sin_zero: [u8; 8],
     }
-    // Own the fd immediately so error paths below close it.
-    let stream = unsafe { std::net::TcpStream::from_raw_fd(fd) };
-    set_buf_opt(fd, SO_RCVBUF, rcvbuf)?;
-    let sa = SockAddrIn {
-        sin_family: AF_INET as u16,
-        sin_port: v4.port().to_be(),
-        sin_addr: u32::from_ne_bytes(v4.ip().octets()),
-        sin_zero: [0; 8],
-    };
-    let rc = unsafe {
-        connect(
-            stream.as_raw_fd(),
-            &sa,
-            std::mem::size_of::<SockAddrIn>() as u32,
-        )
-    };
-    if rc < 0 {
-        return Err(last_os_error());
+
+    extern "C" {
+        fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
+        fn connect(fd: i32, addr: *const SockAddrIn, len: u32) -> i32;
     }
-    Ok(stream)
+
+    const SO_RCVBUF: i32 = 8;
+    const AF_INET: i32 = 2;
+    const SOCK_STREAM: i32 = 1;
+
+    /// Connect to an IPv4 address with `SO_RCVBUF` clamped *before* the
+    /// connect, so the small window is what the handshake advertises.
+    /// Each client then swallows only a few KiB, and a stalled stream stays
+    /// parked in its server-side outbox instead of default-sized kernel
+    /// buffers.
+    ///
+    /// # Errors
+    ///
+    /// Socket/connect failures; IPv6 addresses are rejected.
+    pub(crate) fn connect_with_rcvbuf(
+        addr: SocketAddr,
+        rcvbuf: usize,
+    ) -> io::Result<std::net::TcpStream> {
+        let SocketAddr::V4(v4) = addr else {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "connect_with_rcvbuf is IPv4-only",
+            ));
+        };
+        let fd = unsafe { socket(AF_INET, SOCK_STREAM, 0) };
+        if fd < 0 {
+            return Err(last_os_error());
+        }
+        // Own the fd immediately so error paths below close it.
+        let stream = unsafe { std::net::TcpStream::from_raw_fd(fd) };
+        set_buf_opt(fd, SO_RCVBUF, rcvbuf)?;
+        let sa = SockAddrIn {
+            sin_family: AF_INET as u16,
+            sin_port: v4.port().to_be(),
+            sin_addr: u32::from_ne_bytes(v4.ip().octets()),
+            sin_zero: [0; 8],
+        };
+        let rc = unsafe {
+            connect(
+                stream.as_raw_fd(),
+                &sa,
+                std::mem::size_of::<SockAddrIn>() as u32,
+            )
+        };
+        if rc < 0 {
+            return Err(last_os_error());
+        }
+        Ok(stream)
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::test_client::connect_with_rcvbuf;
     use super::*;
     use std::io::{Read as _, Write as _};
     use std::net::{TcpListener, TcpStream};
+    use std::os::fd::AsRawFd;
 
     #[test]
     fn waker_interrupts_wait() {

@@ -26,7 +26,7 @@
 pub mod admission;
 pub mod client;
 #[cfg(target_os = "linux")]
-pub mod edge;
+mod edge;
 pub mod http;
 pub mod remote;
 pub mod server;
@@ -80,6 +80,19 @@ mod tests {
                 "too-slow" => return Err(ServiceError::gateway_timeout("query deadline exceeded")),
                 "sleep" => std::thread::sleep(std::time::Duration::from_millis(300)),
                 _ => {}
+            }
+            if let (Some(sink), "hold") = (&sink, request.question.as_str()) {
+                // 32 KiB of chunks: more than clamped kernel buffers on
+                // both ends swallow, so a client that stops reading leaves
+                // the rest of its stream parked on the server.
+                for _ in 0..16 {
+                    let _ = sink.send(OrchestrationEvent::ModelChunk {
+                        model: "stub".into(),
+                        text: "x".repeat(2 * 1024),
+                        tokens: 1,
+                        done: None,
+                    });
+                }
             }
             if let Some(sink) = sink {
                 let _ = sink.send(OrchestrationEvent::RoundStarted { round: 1 });
@@ -1100,6 +1113,68 @@ mod tests {
             .unwrap();
             assert_eq!(r.status, 200, "{}", r.body);
             drop(stalled);
+            server.shutdown();
+        }
+
+        /// Live streams outnumber dispatch workers: 64 clients that stop
+        /// reading after their first chunk leave 32 KiB streams parked in
+        /// the edge's outboxes, and the two workers stay free to answer a
+        /// fresh query. A transport that writes from the worker pins one
+        /// worker per stalled stream instead.
+        #[test]
+        fn stalled_streams_do_not_pin_the_dispatch_workers() {
+            let server = start_edge(server::ServerConfig {
+                worker_threads: 2,
+                edge: server::EdgeConfig {
+                    so_sndbuf: Some(4096),
+                    ..server::EdgeConfig::default()
+                },
+                ..server::ServerConfig::default()
+            });
+            let addr = server.addr();
+            let body = r#"{"question":"hold","stream":true}"#;
+            let held: Vec<(TcpStream, Vec<u8>)> = (0..64)
+                .map(|_| {
+                    let mut stream =
+                        edge::poller::test_client::connect_with_rcvbuf(addr, 4096).unwrap();
+                    stream
+                        .set_read_timeout(Some(Duration::from_secs(10)))
+                        .unwrap();
+                    write!(
+                        stream,
+                        "POST /api/query HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\
+                         Content-Length: {}\r\n\r\n{body}",
+                        body.len()
+                    )
+                    .unwrap();
+                    let mut seen = Vec::new();
+                    let mut buf = [0u8; 1024];
+                    while find_subslice(&seen, b"event: chunk").is_none() {
+                        let n = stream.read(&mut buf).expect("first chunk arrives");
+                        assert!(n > 0, "stream closed before its first chunk");
+                        seen.extend_from_slice(&buf[..n]);
+                    }
+                    (stream, seen)
+                })
+                .collect();
+            let r = client::request_with_timeouts(
+                addr,
+                "POST",
+                "/api/query",
+                &[],
+                Some(r#"{"question":"hi"}"#),
+                Some(Duration::from_secs(5)),
+                Some(Duration::from_secs(5)),
+            )
+            .expect("a fresh query is answered while 64 streams are held");
+            assert_eq!(r.status, 200, "{}", r.body);
+            for (i, (mut stream, mut seen)) in held.into_iter().enumerate() {
+                stream.read_to_end(&mut seen).unwrap();
+                assert!(
+                    find_subslice(&seen, b"event: result").is_some(),
+                    "held stream {i} ended without its result frame"
+                );
+            }
             server.shutdown();
         }
 

@@ -13,8 +13,8 @@
 //!   threads.
 //! * Everywhere else it serves through [`Server::start_blocking`] — a
 //!   blocking accept loop with a bounded worker pool. It compiles on every
-//!   platform so the Linux test suite and `edge_snapshot`'s baseline leg
-//!   can pin the code the other platforms run.
+//!   platform so the Linux test suite can pin the code the other platforms
+//!   run.
 
 use crate::admission::{AdmissionConfig, AdmissionController, DEFAULT_TENANT};
 use crate::http::{
@@ -34,8 +34,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Knobs of the event-driven edge (ignored by [`Server::start_blocking`],
-/// `so_sndbuf` excepted).
+/// Knobs of the event-driven edge. They are edge-only: the blocking
+/// transport, the path off Linux, ignores every one of them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EdgeConfig {
     /// Maximum simultaneously open connections; at the cap, fresh accepts
@@ -54,11 +54,9 @@ pub struct EdgeConfig {
     /// socket; a full outbox blocks the producing worker (bounded by
     /// `write_stall_timeout`), so a slow client costs memory, not threads.
     pub outbox_capacity: usize,
-    /// Kernel send-buffer size clamp (`SO_SNDBUF`) applied to accepted
-    /// sockets; `None` keeps the system default. Honoured by *both*
-    /// transports on Linux (so the capacity bench measures the transport
-    /// architecture, not kernel buffering): live streams park in the edge
-    /// outbox — or block a blocking-pool worker — instead of the kernel.
+    /// Kernel send-buffer size clamp (`SO_SNDBUF`) the edge applies to
+    /// accepted sockets; `None` keeps the system default. A small clamp
+    /// makes live streams park in the edge outbox instead of the kernel.
     pub so_sndbuf: Option<usize>,
 }
 
@@ -311,7 +309,8 @@ impl Server {
     /// accepted connections are pushed onto a bounded queue drained by
     /// [`ServerConfig::worker_threads`] long-lived workers. A full queue is
     /// answered 503 by the acceptor itself, so overload never translates
-    /// into unbounded thread creation.
+    /// into unbounded thread creation. Each worker owns its connection end
+    /// to end, and [`EdgeConfig`] does not apply.
     ///
     /// # Errors
     ///
@@ -357,19 +356,12 @@ impl Server {
             workers.push(worker);
         }
         let acceptor_overload = Arc::clone(&overload);
-        #[cfg(target_os = "linux")]
-        let acceptor_sndbuf = config.edge.so_sndbuf;
         let handle = std::thread::spawn(move || {
             for stream in listener.incoming() {
                 if stop_flag.load(Ordering::SeqCst) {
                     break;
                 }
                 let Ok(stream) = stream else { continue };
-                #[cfg(target_os = "linux")]
-                if let Some(bytes) = acceptor_sndbuf {
-                    use std::os::fd::AsRawFd;
-                    let _ = crate::edge::poller::set_send_buffer(stream.as_raw_fd(), bytes);
-                }
                 // Count the queue slot before the handoff so a racing
                 // worker's decrement never underflows.
                 acceptor_overload.queued.fetch_add(1, Ordering::SeqCst);

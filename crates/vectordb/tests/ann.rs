@@ -2,8 +2,9 @@
 //!
 //! Three contracts the fast path must uphold:
 //!
-//! 1. **Recall regression** — HNSW at realistic scale (10k vectors) keeps
-//!    recall@10 ≥ 0.95 against the exact [`FlatIndex`] oracle.
+//! 1. **Recall regression** — HNSW, and segmented collections with HNSW
+//!    or int8 segments, keep recall@10 ≥ 0.95 at 10k vectors against the
+//!    exact [`FlatIndex`] oracle.
 //! 2. **Reopen bit-identity** — a checkpointed index reopened from its
 //!    binary sidecar serves hits whose scores are bit-identical to the
 //!    live store's, for any vector set and query.
@@ -52,38 +53,78 @@ fn unit_vectors(n: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
         .collect()
 }
 
-/// Recall@10 of HNSW against the exact flat oracle at 10k vectors must not
-/// regress below 0.95 — the same gate `ann_snapshot --check` enforces in CI
-/// at 100k, pinned here at a size cheap enough for every test run.
+/// Recall@10 against the exact flat oracle must not regress below 0.95 at
+/// 10k vectors: for a bare HNSW index, and for segmented collections that
+/// seal every 2048 vectors into HNSW segments or int8-quantized flat ones.
+/// The three builds run on their own threads.
 #[test]
 fn hnsw_recall_at_10_is_at_least_095_at_10k() {
-    let (n, dim, n_queries) = (10_000, 32, 100);
+    let (n, dim, n_queries, k) = (10_000, 32, 100, 10);
     let vectors = unit_vectors(n, dim, 0x5eed_0001);
     let queries = unit_vectors(n_queries, dim, 0xfeed_0002);
 
     let mut flat = FlatIndex::new(dim, Metric::Cosine);
-    let mut hnsw = HnswIndex::new(dim, Metric::Cosine, HnswConfig::default());
     for (i, v) in vectors.iter().enumerate() {
         flat.insert(i as u32, v);
-        hnsw.insert(i as u32, v);
     }
-
-    let k = 10;
-    let mut found = 0usize;
-    for q in &queries {
-        let truth: HashSet<u32> = flat.search(q, k, None).iter().map(|h| h.id).collect();
-        assert_eq!(truth.len(), k);
-        found += hnsw
-            .search(q, k, None)
+    let truth: Vec<HashSet<u32>> = queries
+        .iter()
+        .map(|q| flat.search(q, k, None).iter().map(|h| h.id).collect())
+        .collect();
+    assert!(truth.iter().all(|t| t.len() == k));
+    let recall = |search: &dyn Fn(&[f32]) -> Vec<u32>| {
+        let found: usize = queries
             .iter()
-            .filter(|h| truth.contains(&h.id))
-            .count();
-    }
-    let recall = found as f64 / (n_queries * k) as f64;
-    assert!(
-        recall >= 0.95,
-        "HNSW recall@10 regressed: {recall:.4} < 0.95 at n={n}"
-    );
+            .zip(&truth)
+            .map(|(q, t)| search(q).iter().filter(|id| t.contains(id)).count())
+            .sum();
+        found as f64 / (n_queries * k) as f64
+    };
+
+    let bare = || {
+        let mut hnsw = HnswIndex::new(dim, Metric::Cosine, HnswConfig::default());
+        for (i, v) in vectors.iter().enumerate() {
+            hnsw.insert(i as u32, v);
+        }
+        recall(&|q| hnsw.search(q, k, None).iter().map(|h| h.id).collect())
+    };
+    let segmented = |mut config: CollectionConfig, quantize_sealed: bool| {
+        config.segment = SegmentConfig {
+            seal_threshold: 2048,
+            quantize_sealed,
+            ..SegmentConfig::default()
+        };
+        let mut coll = Collection::new("recall", config);
+        for (i, v) in vectors.iter().enumerate() {
+            let record = Record::new(i.to_string(), Embedding::new(v.clone()));
+            coll.upsert(record).unwrap();
+        }
+        assert!(coll.stats().sealed_segments >= 4);
+        recall(&|q| {
+            let hits = coll.query(&Embedding::new(q.to_vec()), k, None).unwrap();
+            hits.iter().map(|h| h.id.parse().unwrap()).collect()
+        })
+    };
+    std::thread::scope(|s| {
+        let cases = [
+            ("HNSW index", s.spawn(bare)),
+            (
+                "segmented HNSW collection",
+                s.spawn(|| segmented(CollectionConfig::hnsw(dim), false)),
+            ),
+            (
+                "segmented int8 collection",
+                s.spawn(|| segmented(CollectionConfig::flat(dim), true)),
+            ),
+        ];
+        for (label, case) in cases {
+            let recall = case.join().unwrap();
+            assert!(
+                recall >= 0.95,
+                "{label} recall@10 regressed: {recall:.4} < 0.95 at n={n}"
+            );
+        }
+    });
 }
 
 fn unit(values: Vec<f32>) -> Embedding {

@@ -2,9 +2,9 @@
 //! single-model baselines against LLM-MS OUA and LLM-MS MAB on a slice of
 //! the synthetic TruthfulQA benchmark, printing Figures 8.1–8.3.
 //!
-//! The full-size run lives in `llmms-bench` (`cargo run -p llmms-bench
-//! --bin fig8_1_reward --release`); this example keeps the dataset small so
-//! it finishes in seconds even in debug builds.
+//! The full-size run lives in `llmms-bench` (`cargo run --release -p
+//! llmms-bench --bin paper fig8_1_reward`); this example keeps the dataset
+//! small so it finishes in seconds even in debug builds.
 //!
 //! ```sh
 //! cargo run --example truthfulqa_eval --release

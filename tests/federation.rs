@@ -157,16 +157,31 @@ fn capturing_peer() -> (std::net::SocketAddr, std::sync::mpsc::Receiver<String>)
             let Ok(mut stream) = stream else { continue };
             let mut raw = Vec::new();
             let mut buf = [0u8; 1024];
-            // Read until the blank line; the body length doesn't matter to
-            // the capture.
-            while !raw.windows(4).any(|w| w == b"\r\n\r\n") {
+            // Read the whole request. Closing with request bytes still
+            // unread makes the kernel reset the connection, and the client
+            // can see that reset before it reads the answer.
+            let complete = |raw: &[u8]| {
+                let text = String::from_utf8_lossy(raw);
+                let Some((head, body)) = text.split_once("\r\n\r\n") else {
+                    return false;
+                };
+                let length = head.lines().find_map(|line| {
+                    let (name, value) = line.split_once(':')?;
+                    name.trim()
+                        .eq_ignore_ascii_case("content-length")
+                        .then(|| value.trim().parse::<usize>().ok())?
+                });
+                body.len() >= length.unwrap_or(0)
+            };
+            while !complete(&raw) {
                 match stream.read(&mut buf) {
                     Ok(0) | Err(_) => break,
                     Ok(n) => raw.extend_from_slice(&buf[..n]),
                 }
             }
-            let head = String::from_utf8_lossy(&raw).to_string();
-            let _ = tx.send(head);
+            let text = String::from_utf8_lossy(&raw);
+            let head = text.split("\r\n\r\n").next().unwrap_or_default();
+            let _ = tx.send(head.to_owned());
             let body = r#"{"model":"qwen2-7b","text":"the peer answers briefly","tokens":4,"done_reason":"stop","latency_ms":1.0}"#;
             let _ = write!(
                 stream,
