@@ -245,7 +245,7 @@ mod proptests {
         /// any budget limit and any request/production sequence. Each arm is
         /// `(request, produced)` — the model produces `min(produced, grant)`
         /// tokens and the rest of the grant is refunded, exactly what
-        /// `ModelRun::generate` does.
+        /// `ModelRun::finish_generate` commits.
         #[test]
         fn lease_commit_equals_sequential_grant_refund(
             limit in 0usize..400,

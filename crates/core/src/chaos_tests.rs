@@ -198,13 +198,11 @@ fn injected_faults_produce_error_spans_and_retained_traces() {
         assert_eq!(data.worst_status(), SpanStatus::Error, "{}", r.strategy);
         assert!(data.spans.iter().any(|s| s.name == "orchestrate"));
         assert!(data.spans.iter().any(|s| s.name == "round"));
-        // The stalled arm surfaces as an error span: on the sequential path
-        // the `arm` span itself, on the parallel path the barrier-side
-        // `arm_failed` marker (the worker saw an ordinary empty chunk).
+        // The stalled arm's last step is an error `arm` span, whichever
+        // thread computed it: the stall is judged at the barrier, where the
+        // span is recorded.
         let wedged_error = data.spans.iter().any(|s| {
-            s.status == SpanStatus::Error
-                && matches!(s.name, "arm" | "arm_failed")
-                && s.attr("model") == Some("wedged")
+            s.status == SpanStatus::Error && s.name == "arm" && s.attr("model") == Some("wedged")
         });
         assert!(
             wedged_error,
@@ -244,6 +242,67 @@ fn injected_faults_produce_error_spans_and_retained_traces() {
     assert_eq!(stats.offered, 3);
     assert_eq!(stats.retained, 3);
     assert_eq!(stats.sampled_out, 0);
+}
+
+/// A MAB pull (a one-target round, computed on the calling thread) and an
+/// OUA round (fanned out to the executor) trace their arms alike: a step
+/// carries the arm index and its tokens, and a failed arm's step names the
+/// model and the error instead of the tokens.
+#[test]
+fn single_target_and_fanned_out_rounds_trace_arms_alike() {
+    use llmms_obs::{trace, SpanStatus, TraceId, Tracer};
+
+    for strategy in [
+        Strategy::Mab(MabConfig::default()),
+        Strategy::Oua(OuaConfig::default()),
+    ] {
+        let store = knowledge();
+        let models = vec![
+            sim("steady-a", &store),
+            sim("steady-b", &store),
+            faulty(
+                "doomed",
+                FaultKind::ErrorAfterN {
+                    n: 0,
+                    transient: false,
+                },
+                3,
+                &store,
+            ),
+        ];
+        let o = orchestrator(strategy, 96, None);
+        let tracer = Tracer::new(TraceId::generate());
+        let root = tracer.root_span("request");
+        let r = {
+            let _guard = trace::set_current(root.context());
+            o.run(&models, QUESTION).unwrap()
+        };
+        root.end();
+        assert_eq!(r.failed_models(), vec!["doomed"], "{}", r.strategy);
+        let data = tracer.finish().expect("spans recorded");
+        let arms: Vec<_> = data.spans.iter().filter(|s| s.name == "arm").collect();
+        let keys = |s: &llmms_obs::SpanRecord| s.attrs.iter().map(|(k, _)| k).collect::<Vec<_>>();
+        for span in &arms {
+            if span.status == SpanStatus::Error {
+                assert_eq!(keys(span), ["arm", "model", "error"], "{}", r.strategy);
+                assert_eq!(span.attr("model"), Some("doomed"));
+                assert!(!span.attr("error").unwrap_or("").is_empty());
+            } else {
+                assert_eq!(keys(span), ["arm", "tokens"], "{}", r.strategy);
+            }
+        }
+        assert!(
+            arms.iter().any(|s| s.status == SpanStatus::Error),
+            "{}: the failed arm has no error span",
+            r.strategy
+        );
+        assert!(
+            arms.iter()
+                .any(|s| s.attr_u64("tokens").is_some_and(|t| t > 0)),
+            "{}: no successful step was traced",
+            r.strategy
+        );
+    }
 }
 
 /// A breaker-open skip (the arm is dead on arrival, no session ever starts)

@@ -77,13 +77,17 @@ impl Arms<'_> {
     /// with exactly those arms as each other's agreement term, written into
     /// `scores`; other entries keep their value.
     pub fn score_where(&mut self, participates: impl Fn(&ModelRun) -> bool, scores: &mut [f64]) {
-        scoring::score_where(
-            &mut self.cache,
-            &mut self.runs,
-            self.embedder,
-            participates,
-            scores,
-        );
+        #[cfg(test)]
+        if crate::reference::current().scratch_scoring {
+            return scoring::score_from_scratch(
+                &self.cache,
+                &self.runs,
+                self.embedder,
+                participates,
+                scores,
+            );
+        }
+        scoring::score_where(&mut self.cache, &self.runs, participates, scores);
     }
 
     /// Eq. 6.1 score of every arm's current response against every other
@@ -225,7 +229,7 @@ pub(crate) fn run(
             &mut arms.runs,
             &targets,
             &mut arms.budget,
-            query.embedder,
+            arms.embedder,
             &round_ctx,
         );
         runpool::emit_round_chunks(&arms.runs, &chunks, &mut recorder);

@@ -14,7 +14,7 @@
 //!
 //! The reference legs are test code: [`crate::reference`] selects them for
 //! the current thread, and only `runpool::generate_round` and
-//! `scoring::score_where` look.
+//! `engine::Arms::score_where` look.
 
 #![cfg(test)]
 
@@ -258,8 +258,8 @@ fn equivalence_survives_backend_faults() {
     }
 }
 
-/// The strategies the parallel engine touches (MAB included as a guard: it
-/// never fans out, so the two legs must trivially coincide).
+/// The strategies the parallel engine touches. MAB never fans out: its
+/// one-target rounds run the same arm step on the calling thread.
 fn parallel_strategies() -> Vec<Strategy> {
     vec![
         Strategy::Oua(OuaConfig {

@@ -303,20 +303,11 @@ impl Orchestrator {
         // tenant share, priority class and deadline. When the serving layer
         // already registered (platform scopes the whole request, RAG
         // included), reuse its ambient handle instead of double-counting.
-        let _sched_scope = if llmms_exec::current_query().is_none() {
-            let handle = llmms_exec::QueryHandle::register(
-                overrides
-                    .tenant
-                    .as_deref()
-                    .unwrap_or(llmms_exec::DEFAULT_TENANT),
-                overrides.priority,
-                query_deadline.expires_at(),
-            );
-            let scope = handle.enter();
-            Some((scope, handle))
-        } else {
-            None
-        };
+        let _sched_scope = llmms_exec::enter_query(
+            overrides.tenant.as_deref(),
+            overrides.priority,
+            query_deadline.expires_at(),
+        );
         let embedding = {
             let tctx = llmms_obs::trace::current();
             let _span = tctx.scope("embed_query");

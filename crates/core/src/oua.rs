@@ -15,7 +15,7 @@
 //! 5. **Pruning** (lines 20–23): if the second-worst active model outscores
 //!    the worst by more than `prune_margin`, the worst is pruned and its
 //!    remaining allowance is redistributed — "models ... are pruned to
-//!    conserve tokens and allocate them to [the] rest beyond each model's
+//!    conserve tokens and allocate them to \[the\] rest beyond each model's
 //!    maximum allowance" (§4.2.1).
 //! 6. When no model can generate further (all stopped or pruned, or λ_max is
 //!    exhausted), the best-scoring response wins (line 25).

@@ -3,10 +3,14 @@
 //! ambient deadline in [`crate::deadline`]). Test builds only.
 //!
 //! Exactly two places consult it: [`crate::runpool::generate_round`] (run
-//! every target inline, arm by arm) and [`crate::scoring::score_where`]
-//! (embed every response from scratch and score with
-//! [`crate::reward::score_all`]). The policies never see it.
+//! every target arm by arm through [`ModelRun::generate`]) and
+//! [`crate::engine::Arms::score_where`] (embed every response from scratch
+//! and score with [`crate::reward::score_all`]). The policies never see it.
 
+use crate::budget::TokenBudget;
+use crate::runpool::ModelRun;
+use llmms_embed::SharedEmbedder;
+use llmms_models::{Chunk, DoneReason};
 use std::cell::Cell;
 
 /// Which reference legs are in force on this thread.
@@ -46,4 +50,80 @@ impl Drop for ScopeGuard {
 /// The reference selection in force on this thread.
 pub(crate) fn current() -> Reference {
     AMBIENT.with(Cell::get)
+}
+
+impl ModelRun {
+    /// The arm-by-arm reference step: grant up to `requested` tokens from
+    /// the live budget, drive the session with the run's retry policy,
+    /// commit the chunk, and end in the same
+    /// [`crate::runpool::EmbedState::fold`] a job ends in. It writes out the
+    /// retry loop and the commit itself instead of calling the production
+    /// step (`begin_generate` → `GenJob::compute` → `finish_generate`),
+    /// and it is untraced and has no panic containment, so the equivalence
+    /// suite's bit-identical comparison keeps an independent sequential
+    /// leg.
+    pub(crate) fn generate(
+        &mut self,
+        requested: usize,
+        budget: &mut TokenBudget,
+        embedder: &SharedEmbedder,
+    ) -> Chunk {
+        if self.failed {
+            return Chunk::finished(DoneReason::Failed);
+        }
+        let granted = budget.grant(requested);
+        if granted == 0 {
+            return Chunk {
+                text: String::new(),
+                tokens: 0,
+                done: self.done(),
+            };
+        }
+        let mut attempt = 0u32;
+        let outcome = loop {
+            match self.session.next_chunk(granted) {
+                Err(e) if e.is_transient() && attempt < self.policy.max_retries => {
+                    attempt += 1;
+                    self.retries += 1;
+                    self.backoff += self.policy.backoff_delay(attempt);
+                }
+                outcome => break outcome,
+            }
+        };
+        self.embed.fold(self.session.response_so_far(), embedder);
+        let chunk = match outcome {
+            Ok(chunk) => chunk,
+            Err(e) => {
+                budget.refund(granted);
+                let kind = if e.is_transient() {
+                    "retries_exhausted"
+                } else {
+                    "fatal"
+                };
+                self.fail(kind, e.to_string());
+                return Chunk::finished(DoneReason::Failed);
+            }
+        };
+        budget.refund(granted - chunk.tokens);
+        if chunk.tokens > 0 {
+            self.rounds += 1;
+            self.stalls = 0;
+        } else if chunk.done.is_none() {
+            self.stalls += 1;
+            if self.stalls >= self.policy.stall_limit {
+                self.fail(
+                    "stall",
+                    format!("stalled: {} consecutive empty chunks", self.stalls),
+                );
+                return Chunk::finished(DoneReason::Failed);
+            }
+        }
+        if matches!(
+            chunk.done,
+            Some(DoneReason::Stop) | Some(DoneReason::Length)
+        ) {
+            self.report_success();
+        }
+        chunk
+    }
 }

@@ -1,19 +1,27 @@
 //! Internal pool of in-flight generation sessions the round engine drives.
 //!
-//! `ModelRun` is where failure handling is centralized: transient backend
-//! errors are retried with capped exponential backoff (accounted into the
-//! simulated latency, not slept), stalls (consecutive empty chunks) and
-//! fatal errors mark the run [`DoneReason::Failed`], and every terminal
-//! outcome is reported to the shared [`HealthRegistry`] so the circuit
-//! breaker can skip the model on the next query.
+//! One arm's step in a round is one [`GenJob`], wherever it computes:
+//! [`ModelRun::begin_generate`] takes the session and the embedding state
+//! out of the run, [`GenJob::compute`] drives the session — transient
+//! backend errors are retried with capped exponential backoff (accounted
+//! into the simulated latency, not slept) — and folds the new text into the
+//! embedding, and [`ModelRun::finish_generate`] commits the result at the
+//! round barrier. The commit is where failure handling is centralized:
+//! stalls (consecutive empty chunks) and fatal errors mark the run
+//! [`DoneReason::Failed`], and every terminal outcome is reported to the
+//! shared [`HealthRegistry`] so the circuit breaker can skip the model on
+//! the next query.
 
 use crate::budget::{Lease, TokenBudget};
 use crate::config::RetryConfig;
 use crate::events::{EventRecorder, OrchestrationEvent};
 use llmms_embed::{Embedding, IncrementalAccumulator, SharedEmbedder};
+use llmms_exec::TaskPoisoned;
 use llmms_models::{
     Chunk, DoneReason, GenOptions, GenerationSession, HealthRegistry, ModelError, SharedModel,
 };
+use llmms_obs::trace::{tick_mark, AttrList, TickMark};
+use llmms_obs::{SpanContext, SpanStatus};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -24,85 +32,51 @@ use std::time::{Duration, Instant};
 /// response append-only, so `response_so_far().len() != fed_bytes` iff new
 /// text arrived. A length that *shrank* (a non-append-only custom session)
 /// resets the accumulator defensively and re-feeds from scratch.
-struct EmbedState {
+#[derive(Default)]
+pub(crate) struct EmbedState {
     acc: Option<Box<dyn IncrementalAccumulator>>,
     /// Whether the embedder was already asked for an accumulator (it may
     /// legitimately have answered `None`).
     acc_probed: bool,
-    /// Bytes of `response_so_far()` reflected in `cached` (and fed to the
+    /// Bytes of the response reflected in `cached` (and fed to the
     /// accumulator, when one exists).
     fed_bytes: usize,
     cached: Option<Arc<Embedding>>,
 }
 
 impl EmbedState {
-    fn new() -> Self {
-        Self {
-            acc: None,
-            acc_probed: false,
-            fed_bytes: 0,
-            cached: None,
+    /// Bring the cached embedding up to date with `text`, the run's whole
+    /// response: fold the unseen suffix into the accumulator, O(new
+    /// tokens), or re-embed the full text when the embedder offers no
+    /// accumulator. A fresh cache is left alone, so the same `Arc` — and
+    /// with it the score cache's row for the arm — survives until the text
+    /// grows.
+    pub(crate) fn fold(&mut self, text: &str, embedder: &SharedEmbedder) {
+        if self.cached.is_some() && text.len() == self.fed_bytes {
+            return;
         }
-    }
-}
-
-/// An embedding computation extracted from a [`ModelRun`] so it can execute
-/// on any thread: it owns the accumulator (taken out of the run) and the
-/// text it must fold in. Pair every `begin_embed` with a `finish_embed` on
-/// the originating run.
-pub(crate) struct EmbedJob {
-    kind: JobKind,
-    total_bytes: usize,
-}
-
-enum JobKind {
-    Incremental {
-        acc: Box<dyn IncrementalAccumulator>,
-        chunk: String,
-    },
-    Full {
-        text: String,
-    },
-}
-
-impl EmbedJob {
-    /// Bytes of text this job will actually process — the parallelism
-    /// threshold looks at this, not the full response length.
-    pub fn pending_bytes(&self) -> usize {
-        match &self.kind {
-            JobKind::Incremental { chunk, .. } => chunk.len(),
-            JobKind::Full { text } => text.len(),
+        if !self.acc_probed {
+            self.acc = embedder.accumulator();
+            self.acc_probed = true;
         }
-    }
-
-    /// Run the embedding computation. Thread-agnostic and deterministic:
-    /// results are identical regardless of where or in what order jobs run.
-    pub fn compute(self, embedder: &SharedEmbedder) -> EmbedDone {
-        match self.kind {
-            JobKind::Incremental { mut acc, chunk } => {
-                acc.append(&chunk);
-                let embedding = Arc::new(acc.embedding());
-                EmbedDone {
-                    acc: Some(acc),
-                    embedding,
-                    total_bytes: self.total_bytes,
-                }
+        let embedding = match &mut self.acc {
+            Some(acc) => {
+                // Sessions accumulate text append-only, so the unseen part
+                // is the suffix past `fed_bytes`. A session that rewrote
+                // its text (shorter, or to a suffix offset that is no
+                // longer a char boundary) is re-fed from scratch.
+                let unseen = text.get(self.fed_bytes..).unwrap_or_else(|| {
+                    acc.reset();
+                    text
+                });
+                acc.append(unseen);
+                acc.embedding()
             }
-            JobKind::Full { text } => EmbedDone {
-                acc: None,
-                embedding: Arc::new(embedder.embed(&text)),
-                total_bytes: self.total_bytes,
-            },
-        }
+            None => embedder.embed(text),
+        };
+        self.fed_bytes = text.len();
+        self.cached = Some(Arc::new(embedding));
     }
-}
-
-/// The result of an [`EmbedJob`]: the updated accumulator (handed back to
-/// the run) and the fresh embedding snapshot.
-pub(crate) struct EmbedDone {
-    acc: Option<Box<dyn IncrementalAccumulator>>,
-    embedding: Arc<Embedding>,
-    total_bytes: usize,
 }
 
 /// One candidate model's in-flight state during orchestration.
@@ -111,8 +85,8 @@ pub(crate) struct ModelRun {
     /// The name as a shared str — span attributes clone this for one
     /// refcount bump instead of a fresh `String` per round.
     shared_name: Arc<str>,
-    session: Box<dyn GenerationSession>,
-    embed: EmbedState,
+    pub(crate) session: Box<dyn GenerationSession>,
+    pub(crate) embed: EmbedState,
     pub rounds: usize,
     pub pruned: bool,
     /// Terminal backend failure (fatal error, exhausted retries, stall, or
@@ -123,18 +97,18 @@ pub(crate) struct ModelRun {
     /// Transient-error retries spent so far.
     pub retries: u32,
     /// Consecutive zero-token, not-done chunks.
-    stalls: u32,
+    pub(crate) stalls: u32,
     /// Backoff time accounted (not slept) across retries.
-    backoff: Duration,
-    policy: RetryConfig,
+    pub(crate) backoff: Duration,
+    pub(crate) policy: RetryConfig,
     health: Arc<HealthRegistry>,
     /// Whether this run already reported its terminal verdict to `health`.
     reported: bool,
-    /// Token count snapshotted before each round's generation, on or off
-    /// thread. If the generation panics the session is lost with it and the
-    /// permanent [`DeadSession`] reports zero; the floor keeps the
-    /// already-budget-charged tokens visible in [`ModelRun::tokens`] so
-    /// accounting still balances for a poisoned arm.
+    /// Token count snapshotted when a step takes the session out. If the
+    /// step panics the session is lost with it and the permanent
+    /// [`DeadSession`] reports zero; the floor keeps the already-budget-
+    /// charged tokens visible in [`ModelRun::tokens`] so accounting still
+    /// balances for a poisoned arm.
     tokens_floor: usize,
 }
 
@@ -158,7 +132,7 @@ impl ModelRun {
                         shared_name: Arc::from(name.as_str()),
                         name,
                         session: m.start(prompt, options),
-                        embed: EmbedState::new(),
+                        embed: EmbedState::default(),
                         rounds: 0,
                         pruned: false,
                         failed: false,
@@ -177,7 +151,7 @@ impl ModelRun {
                         shared_name: Arc::from(name.as_str()),
                         name,
                         session: Box::new(DeadSession),
-                        embed: EmbedState::new(),
+                        embed: EmbedState::default(),
                         rounds: 0,
                         pruned: false,
                         failed: true,
@@ -197,166 +171,91 @@ impl ModelRun {
             .collect()
     }
 
-    /// Generate up to `requested` tokens, charging the shared `budget`.
-    /// Unused grant (model produced fewer tokens) is refunded. Transient
-    /// errors are retried up to the policy's limit with capped exponential
-    /// backoff; a fatal error, exhausted retries, or a stall streak mark the
-    /// run [`DoneReason::Failed`] and refund the whole grant.
-    pub fn generate(&mut self, requested: usize, budget: &mut TokenBudget) -> Chunk {
-        let start = Instant::now();
-        let chunk = self.generate_inner(requested, budget);
-        self.note_generate_latency(start.elapsed());
-        chunk
-    }
-
-    fn generate_inner(&mut self, requested: usize, budget: &mut TokenBudget) -> Chunk {
-        if self.failed {
-            return Chunk::finished(DoneReason::Failed);
-        }
-        let granted = budget.grant(requested);
-        if granted == 0 {
-            return Chunk {
-                text: String::new(),
-                tokens: 0,
-                done: self.done(),
-            };
-        }
-        let mut attempt = 0u32;
-        loop {
-            match self.session.next_chunk(granted) {
-                Ok(chunk) => {
-                    budget.refund(granted - chunk.tokens);
-                    if chunk.tokens > 0 {
-                        // No explicit embedding invalidation needed: the
-                        // embed state detects new text by byte length.
-                        self.rounds += 1;
-                        self.stalls = 0;
-                    } else if chunk.done.is_none() {
-                        self.stalls += 1;
-                        if self.stalls >= self.policy.stall_limit {
-                            self.fail(
-                                "stall",
-                                format!("stalled: {} consecutive empty chunks", self.stalls),
-                            );
-                            return Chunk::finished(DoneReason::Failed);
-                        }
-                    }
-                    if matches!(
-                        chunk.done,
-                        Some(DoneReason::Stop) | Some(DoneReason::Length)
-                    ) {
-                        self.report_success();
-                    }
-                    return chunk;
-                }
-                Err(e) if e.is_transient() && attempt < self.policy.max_retries => {
-                    attempt += 1;
-                    self.retries += 1;
-                    // Account the wait instead of sleeping — the simulation
-                    // charges time, benchmarks stay fast.
-                    self.backoff += self.policy.backoff_delay(attempt);
-                }
-                Err(e) => {
-                    budget.refund(granted);
-                    let kind = if e.is_transient() {
-                        "retries_exhausted"
-                    } else {
-                        "fatal"
-                    };
-                    self.fail(kind, e.to_string());
-                    return Chunk::finished(DoneReason::Failed);
-                }
-            }
-        }
-    }
-
-    /// Extract this round's generation work so it can execute on any
+    /// Take this round's step out of the run so it can compute on any
     /// thread. The job owns the session (a [`DeadSession`] placeholder sits
     /// in the run until [`ModelRun::finish_generate`] reinstalls it), the
-    /// token lease it may generate against, the retry policy, and the
-    /// embedding accumulator, so the embed refresh overlaps with other arms'
-    /// generation instead of waiting for scoring time.
+    /// embedding state, the token lease it may generate against, and the
+    /// retry policy.
     ///
-    /// Returns `None` for failed runs and zero leases; callers fall back to
-    /// the inline [`ModelRun::generate`] at the barrier, which replays those
-    /// cases exactly.
-    pub fn begin_generate(&mut self, lease: usize, embedder: &SharedEmbedder) -> Option<GenJob> {
+    /// `None` for a failed run or a zero lease: such a step generates
+    /// nothing, and [`ModelRun::idle_chunk`] is its chunk.
+    pub fn begin_generate(&mut self, lease: usize) -> Option<GenJob> {
         if self.failed || lease == 0 {
             return None;
         }
-        self.probe_accumulator(embedder);
-        let embed = GenEmbedJob {
-            acc: self.embed.acc.take(),
-            fed_bytes: self.embed.fed_bytes,
-            have_cache: self.embed.cached.is_some(),
-        };
         self.tokens_floor = self.session.tokens_generated();
         Some(GenJob {
             session: std::mem::replace(&mut self.session, Box::new(DeadSession)),
+            embed: std::mem::take(&mut self.embed),
             lease,
             policy: self.policy,
-            embed,
         })
     }
 
-    /// Install a finished [`GenJob`]'s result and commit its budget lease.
+    /// The chunk of a step that ran no job: `Failed` for a failed run, and
+    /// an empty chunk carrying the session's done reason for a zero lease.
+    pub fn idle_chunk(&self) -> Chunk {
+        Chunk {
+            text: String::new(),
+            tokens: 0,
+            done: self.done(),
+        }
+    }
+
+    /// Install a finished [`GenJob`] and commit its lease.
     ///
-    /// This is the other half of the determinism contract: everything with
-    /// a shared side effect — grant/refund accounting, stall bookkeeping,
-    /// failure reporting, health updates, metrics — happens here, at the
-    /// round barrier, in arm order, replaying exactly what the sequential
-    /// [`ModelRun::generate`] would have done with the same chunk.
+    /// This is the one place a step's shared side effects happen — grant
+    /// and refund, round and stall counters, failure classification,
+    /// health report, metrics. The barrier calls it in arm order, so the
+    /// accounting is the same whichever thread computed the job. Unused
+    /// grant (the model produced fewer tokens) is refunded; a fatal error,
+    /// exhausted retries or a stall streak mark the run
+    /// [`DoneReason::Failed`] and refund the whole grant.
     pub fn finish_generate(&mut self, done: GenDone, budget: &mut TokenBudget) -> Chunk {
         self.session = done.session;
-        self.retries += done.retries_delta;
-        self.backoff += done.backoff_delta;
-        self.embed.acc = done.embed.acc;
-        if let Some(e) = done.embed.embedding {
-            self.embed.fed_bytes = done.embed.total_bytes;
-            self.embed.cached = Some(e);
-        }
+        self.embed = done.embed;
+        self.retries += done.retries;
+        self.backoff += done.backoff;
         self.note_generate_latency(done.busy);
         let granted = budget.grant(done.lease);
-        assert_eq!(granted, done.lease, "planned lease must commit in full");
-        match done.outcome {
-            GenOutcome::Chunk(chunk) => {
-                budget.refund(granted - chunk.tokens);
-                if chunk.tokens > 0 {
-                    self.rounds += 1;
-                    self.stalls = 0;
-                } else if chunk.done.is_none() {
-                    self.stalls += 1;
-                    if self.stalls >= self.policy.stall_limit {
-                        self.fail(
-                            "stall",
-                            format!("stalled: {} consecutive empty chunks", self.stalls),
-                        );
-                        return Chunk::finished(DoneReason::Failed);
-                    }
-                }
-                if matches!(
-                    chunk.done,
-                    Some(DoneReason::Stop) | Some(DoneReason::Length)
-                ) {
-                    self.report_success();
-                }
-                chunk
-            }
-            GenOutcome::Error { transient, message } => {
+        assert_eq!(granted, done.lease, "a lease must commit in full");
+        let chunk = match done.outcome {
+            Ok(chunk) => chunk,
+            Err(e) => {
                 budget.refund(granted);
-                let kind = if transient {
+                let kind = if e.is_transient() {
                     "retries_exhausted"
                 } else {
                     "fatal"
                 };
-                self.fail(kind, message);
-                Chunk::finished(DoneReason::Failed)
+                self.fail(kind, e.to_string());
+                return Chunk::finished(DoneReason::Failed);
+            }
+        };
+        budget.refund(granted - chunk.tokens);
+        if chunk.tokens > 0 {
+            self.rounds += 1;
+            self.stalls = 0;
+        } else if chunk.done.is_none() {
+            self.stalls += 1;
+            if self.stalls >= self.policy.stall_limit {
+                self.fail(
+                    "stall",
+                    format!("stalled: {} consecutive empty chunks", self.stalls),
+                );
+                return Chunk::finished(DoneReason::Failed);
             }
         }
+        if matches!(
+            chunk.done,
+            Some(DoneReason::Stop) | Some(DoneReason::Length)
+        ) {
+            self.report_success();
+        }
+        chunk
     }
 
-    /// Record the wall time one generation call (or off-thread generation
-    /// task) took for this arm.
+    /// Record the wall time one step's job took for this arm.
     fn note_generate_latency(&self, elapsed: Duration) {
         let registry = llmms_obs::Registry::global();
         if registry.enabled() {
@@ -369,7 +268,7 @@ impl ModelRun {
 
     /// Mark the run terminally failed: abort the session, remember the
     /// error, and report the failure to the health registry exactly once.
-    fn fail(&mut self, kind: &str, error: String) {
+    pub(crate) fn fail(&mut self, kind: &str, error: String) {
         self.failed = true;
         self.error = Some(error);
         self.session.abort();
@@ -381,7 +280,7 @@ impl ModelRun {
     }
 
     /// Report the run healthy to the registry (once).
-    fn report_success(&mut self) {
+    pub(crate) fn report_success(&mut self) {
         if !self.reported {
             self.reported = true;
             self.health.record_success(&self.name);
@@ -397,84 +296,31 @@ impl ModelRun {
         }
     }
 
-    /// Fail the run whose generation panicked: its session is lost with
-    /// the unwind, and [`ModelRun::tokens`] falls back to the floor taken
-    /// before the call.
-    fn poison(&mut self, p: &llmms_exec::TaskPoisoned, trace: &llmms_obs::SpanContext) -> Chunk {
-        self.session = Box::new(DeadSession);
+    /// Fail the run whose job panicked. The session and the embedding
+    /// state are lost with the unwind (the run keeps the placeholders
+    /// [`ModelRun::begin_generate`] left), nothing of the lease was
+    /// committed, and [`ModelRun::tokens`] falls back to the floor taken
+    /// before the job.
+    fn poison(&mut self, p: &TaskPoisoned) -> Chunk {
         self.fail("panic", p.to_string());
-        arm_failed_span(self, trace);
         Chunk::finished(DoneReason::Failed)
     }
 
-    /// The embedding of the current partial response, lazily refreshed.
+    /// The embedding of the current response, as the step that last grew
+    /// it folded it in ([`EmbedState::fold`]). The same `Arc` comes back
+    /// until the text grows.
     ///
-    /// Returns a shared handle — scoring a round no longer clones the
-    /// vector per call. With an accumulator attached the refresh costs
-    /// O(new tokens); without one it re-embeds the full text.
-    pub fn embedding(&mut self, embedder: &SharedEmbedder) -> Arc<Embedding> {
-        if let Some(job) = self.begin_embed(embedder) {
-            let done = job.compute(embedder);
-            self.finish_embed(done);
-        }
-        Arc::clone(self.embed.cached.as_ref().expect("refreshed above"))
-    }
-
-    /// Whether the cached embedding no longer reflects the response text.
-    pub fn embedding_stale(&self) -> bool {
-        self.embed.cached.is_none() || self.session.response_so_far().len() != self.embed.fed_bytes
-    }
-
-    /// Ask the embedder for an accumulator, once per run (it may
-    /// legitimately answer `None`: the run then re-embeds its full text).
-    fn probe_accumulator(&mut self, embedder: &SharedEmbedder) {
-        if !self.embed.acc_probed {
-            self.embed.acc = embedder.accumulator();
-            self.embed.acc_probed = true;
-        }
-    }
-
-    /// Extract the pending embedding work, or `None` when the cache is
-    /// fresh. The returned job owns everything it needs (accumulator +
-    /// text), so it can run on any thread; hand its result back via
-    /// [`ModelRun::finish_embed`] before the next `begin_embed`.
-    pub fn begin_embed(&mut self, embedder: &SharedEmbedder) -> Option<EmbedJob> {
-        if !self.embedding_stale() {
-            return None;
-        }
-        self.probe_accumulator(embedder);
-        let text = self.session.response_so_far();
-        let total_bytes = text.len();
-        let kind = match self.embed.acc.take() {
-            Some(mut acc) => {
-                // Sessions accumulate text append-only, so the unseen part
-                // is the suffix past `fed_bytes`. A session that rewrote
-                // its text (shorter, or to a suffix offset that is no
-                // longer a char boundary) falls back to re-feeding from
-                // scratch.
-                let chunk = match text.get(self.embed.fed_bytes..) {
-                    Some(suffix) => suffix.to_owned(),
-                    None => {
-                        acc.reset();
-                        self.embed.fed_bytes = 0;
-                        text.to_owned()
-                    }
-                };
-                JobKind::Incremental { chunk, acc }
-            }
-            None => JobKind::Full {
-                text: text.to_owned(),
-            },
-        };
-        Some(EmbedJob { kind, total_bytes })
-    }
-
-    /// Install a finished [`EmbedJob`]'s result: the accumulator returns to
-    /// the run and the snapshot becomes the cached embedding.
-    pub fn finish_embed(&mut self, done: EmbedDone) {
-        self.embed.acc = done.acc;
-        self.embed.fed_bytes = done.total_bytes;
-        self.embed.cached = Some(done.embedding);
+    /// # Panics
+    ///
+    /// Panics on a run that never produced output: scoring gates on
+    /// [`ModelRun::has_output`].
+    pub fn embedding(&self) -> Arc<Embedding> {
+        Arc::clone(
+            self.embed
+                .cached
+                .as_ref()
+                .expect("a response grows only inside a job, and every job ends in the fold"),
+        )
     }
 
     /// Current response text.
@@ -533,239 +379,170 @@ impl ModelRun {
     }
 }
 
-/// One arm's generation work for a round, extracted from its [`ModelRun`]
-/// so it can execute on the shared executor. The job is *pure* with respect
-/// to orchestrator state: it drives the owned session (and optionally folds
-/// new text into the owned embedding accumulator) but touches no budget, no
-/// health registry, and no metrics — those effects are applied at the round
-/// barrier by [`ModelRun::finish_generate`], in arm order.
+/// One arm's step for a round, taken out of its [`ModelRun`] by
+/// [`ModelRun::begin_generate`]. Computing it touches no shared state — no
+/// budget, no health registry, no metrics — so it runs on any thread;
+/// [`ModelRun::finish_generate`] applies its effects at the round barrier,
+/// in arm order.
 pub(crate) struct GenJob {
     session: Box<dyn GenerationSession>,
+    embed: EmbedState,
     lease: usize,
     policy: RetryConfig,
-    embed: GenEmbedJob,
 }
 
-/// The embedding-overlap half of a [`GenJob`]: the accumulator and feed
-/// cursor taken out of the run's [`EmbedState`], folded in-worker right
-/// after generation so scoring-time refresh finds the cache already fresh.
-struct GenEmbedJob {
-    /// `None` means the embedder offers no accumulator: fall back to a full
-    /// re-embed of the response, same as the scoring-time `Full` job.
-    acc: Option<Box<dyn IncrementalAccumulator>>,
-    fed_bytes: usize,
-    /// Whether the run already had a cached embedding (an unchanged
-    /// response with a cache needs no work; without one it must embed).
-    have_cache: bool,
-}
-
-/// What a [`GenJob`] produced, handed back to the run at the round barrier.
+/// What a [`GenJob`] produced, handed back to its run at the barrier.
 pub(crate) struct GenDone {
     session: Box<dyn GenerationSession>,
+    embed: EmbedState,
     lease: usize,
-    outcome: GenOutcome,
-    retries_delta: u32,
-    backoff_delta: Duration,
-    embed: GenEmbedDone,
-    /// Wall time the task occupied a worker — drives the per-arm latency
-    /// histogram and the round busy/wall speedup metrics.
+    /// The chunk, or the error that ended the step: a fatal one, or a
+    /// transient one with the retries spent.
+    outcome: Result<Chunk, ModelError>,
+    retries: u32,
+    backoff: Duration,
+    /// Wall time of the whole job, fold included — drives the per-arm
+    /// latency histogram and the round busy/wall metrics.
     busy: Duration,
 }
 
-enum GenOutcome {
-    /// The session produced a chunk (possibly after accounted retries).
-    Chunk(Chunk),
-    /// The session errored fatally or exhausted its retries.
-    Error { transient: bool, message: String },
-}
-
-struct GenEmbedDone {
-    acc: Option<Box<dyn IncrementalAccumulator>>,
-    /// `None` when the response was unchanged and already cached.
-    embedding: Option<Arc<Embedding>>,
-    total_bytes: usize,
-}
-
 impl GenJob {
-    /// Drive the session against the lease, replaying the sequential retry
-    /// loop exactly (same per-call attempt limit, same accounted backoff),
-    /// then fold any new text into the carried accumulator. Deterministic
-    /// and thread-agnostic: no shared state is read or written.
+    /// Drive the session against the lease, retrying transient errors up
+    /// to the policy's limit (each retry's backoff accounted, not slept),
+    /// then fold the response into the embedding. Deterministic and
+    /// thread-agnostic: no shared state is read or written.
     pub fn compute(mut self, embedder: &SharedEmbedder) -> GenDone {
         let start = Instant::now();
-        let mut attempt = 0u32;
-        let mut retries_delta = 0u32;
-        let mut backoff_delta = Duration::ZERO;
+        let mut retries = 0u32;
+        let mut backoff = Duration::ZERO;
         let outcome = loop {
             match self.session.next_chunk(self.lease) {
-                Ok(chunk) => break GenOutcome::Chunk(chunk),
-                Err(e) if e.is_transient() && attempt < self.policy.max_retries => {
-                    attempt += 1;
-                    retries_delta += 1;
-                    backoff_delta += self.policy.backoff_delay(attempt);
+                Err(e) if e.is_transient() && retries < self.policy.max_retries => {
+                    retries += 1;
+                    backoff += self.policy.backoff_delay(retries);
                 }
-                Err(e) => {
-                    break GenOutcome::Error {
-                        transient: e.is_transient(),
-                        message: e.to_string(),
-                    }
-                }
+                outcome => break outcome,
             }
         };
-        let embed = self.embed.fold(self.session.as_ref(), embedder);
+        self.embed.fold(self.session.response_so_far(), embedder);
         GenDone {
             session: self.session,
+            embed: self.embed,
             lease: self.lease,
             outcome,
-            retries_delta,
-            backoff_delta,
-            embed,
+            retries,
+            backoff,
             busy: start.elapsed(),
         }
     }
 }
 
-impl GenEmbedJob {
-    /// Fold the session's unseen text into the accumulator and snapshot the
-    /// embedding — the same operation sequence `begin_embed`/`compute` runs
-    /// at scoring time, so the resulting values are identical; it merely
-    /// happens while other arms are still generating.
-    fn fold(self, session: &dyn GenerationSession, embedder: &SharedEmbedder) -> GenEmbedDone {
-        let text = session.response_so_far();
-        if text.len() == self.fed_bytes && self.have_cache {
-            return GenEmbedDone {
-                acc: self.acc,
-                embedding: None,
-                total_bytes: self.fed_bytes,
-            };
-        }
-        let total_bytes = text.len();
-        match self.acc {
-            Some(mut acc) => {
-                // Same suffix/fallback logic as `begin_embed`: append-only
-                // sessions grow past `fed_bytes`; anything else re-feeds
-                // from scratch.
-                let chunk = match text.get(self.fed_bytes..) {
-                    Some(suffix) => suffix,
-                    None => {
-                        acc.reset();
-                        text
-                    }
-                };
-                acc.append(chunk);
-                let embedding = Arc::new(acc.embedding());
-                GenEmbedDone {
-                    acc: Some(acc),
-                    embedding: Some(embedding),
-                    total_bytes,
-                }
-            }
-            None => GenEmbedDone {
-                acc: None,
-                embedding: Some(Arc::new(embedder.embed(text))),
-                total_bytes,
-            },
-        }
-    }
-}
+/// A job's result as the barrier receives it, with the clock read when the
+/// job finished (tracing only), or the panic that killed it.
+type Computed = Result<(GenDone, Option<TickMark>), TaskPoisoned>;
 
-/// [`ModelRun::generate`] wrapped in an `"arm"` trace span: records the
-/// model name and token count, emits a zero-length `"retry"` child when the
-/// call spent retries, and marks the span `Error` when the run terminally
-/// failed. The disabled-tracing path is one branch straight into
-/// [`ModelRun::generate`] — no allocation, no span.
-fn traced_generate(
-    run: &mut ModelRun,
-    requested: usize,
-    budget: &mut TokenBudget,
-    trace: &llmms_obs::SpanContext,
-) -> Chunk {
-    if !trace.is_enabled() {
-        return run.generate(requested, budget);
-    }
-    let mut span = trace.span("arm");
-    span.attr_with("model", || Arc::clone(&run.shared_name));
-    let retries_before = run.retries;
-    let backoff_before = run.backoff;
-    let chunk = run.generate(requested, budget);
-    span.set_attr("tokens", chunk.tokens);
-    let retries = run.retries - retries_before;
-    if retries > 0 {
-        let mut retry = span.context().span("retry");
-        retry.set_attr("count", retries);
-        retry.attr_with("backoff_ms", || {
-            (run.backoff - backoff_before).as_millis().to_string()
-        });
-        retry.end();
-    }
-    if chunk.done == Some(DoneReason::Failed) {
-        span.set_status(llmms_obs::SpanStatus::Error);
-        span.attr_with("error", || run.error.clone().unwrap_or_default());
-    }
-    span.end();
-    chunk
+/// [`GenJob::compute`], then read the clock for the arm span's end when
+/// tracing. The read touches no trace state, so it can run on a worker.
+fn compute_marked(
+    job: GenJob,
+    embedder: &SharedEmbedder,
+    recording: bool,
+) -> (GenDone, Option<TickMark>) {
+    let done = job.compute(embedder);
+    (done, recording.then(tick_mark))
 }
 
 /// Run one round of generation over `targets` (`(arm index, request)` pairs
-/// in arm order), charging the shared budget. Arms whose lease is
-/// pessimistically covered generate concurrently on the executor;
-/// everything else — a round of fewer than two targets, deferred arms, zero
-/// requests, already-failed runs — generates inline at the barrier, its
-/// panic contained like a pool task's. Either
-/// way the returned `(arm, chunk)` list, all budget accounting, and all
-/// per-run state transitions are bit-identical to calling
-/// [`ModelRun::generate`] target by target.
+/// in arm order), charging the shared budget.
 ///
-/// Tracing: each arm's work is wrapped in an `"arm"` span. The span itself
-/// never leaves the coordinator thread — the worker only reads the clock
-/// ([`llmms_obs::trace::tick_mark`], 8 bytes back through the channel) when
-/// its compute finishes, and the coordinator applies that mark plus all
-/// attributes at the barrier. This keeps every tracing allocation, every
-/// tracer-shared cacheline, and the span structs themselves on one thread.
-/// Span creation never feeds back into budget, scoring, or event state,
-/// preserving the determinism contract.
+/// Every arm takes the same step — [`ModelRun::begin_generate`],
+/// [`GenJob::compute`], [`ModelRun::finish_generate`] — and the round only
+/// decides where each job computes. In a round of two or more targets, an
+/// arm whose lease the pessimistic plan ([`TokenBudget::plan_leases`])
+/// covers computes on the executor. A single-target round and a deferred
+/// arm compute on the calling thread at the barrier, against
+/// `min(request, remaining)`, with a panic contained the way the executor
+/// contains a worker's. The barrier commits in arm order, so the returned
+/// chunks, the budget and every run come out the same wherever the jobs
+/// computed.
+///
+/// Tracing: the barrier records one `"arm"` span per target through
+/// [`SpanContext::record_span`]. A worker only reads the clock when its job
+/// finishes (8 bytes back with the result), so span records, attributes and
+/// the tracer's shared cachelines stay on the calling thread. Spans never
+/// feed back into budget, scoring or event state.
 pub(crate) fn generate_round(
     runs: &mut [ModelRun],
     targets: &[(usize, usize)],
     budget: &mut TokenBudget,
     embedder: &SharedEmbedder,
-    trace: &llmms_obs::SpanContext,
+    trace: &SpanContext,
 ) -> Vec<(usize, Chunk)> {
-    let inline = targets.len() < 2;
     #[cfg(test)]
-    let inline = inline || crate::reference::current().inline_rounds;
-    if inline {
+    if crate::reference::current().inline_rounds {
         return targets
             .iter()
-            .map(|&(i, request)| (i, contained_generate(&mut runs[i], request, budget, trace)))
+            .map(|&(i, request)| (i, runs[i].generate(request, budget, embedder)))
             .collect();
     }
-    let requests: Vec<usize> = targets.iter().map(|&(_, request)| request).collect();
-    let plan = budget.plan_leases(&requests);
     let recording = trace.is_enabled();
-    let mut jobs = Vec::new();
-    // Arm span timing stays on the coordinator: a start mark per dispatch
-    // here, an end mark from the worker, and the span record built at the
-    // barrier via the zero-ceremony `record_span` path. Empty (no
-    // allocation) when tracing is off.
-    let mut arm_starts: Vec<(usize, llmms_obs::trace::TickMark)> =
-        Vec::with_capacity(if recording { targets.len() } else { 0 });
-    for (&(i, _), lease) in targets.iter().zip(&plan) {
-        if let Lease::Granted(lease) = *lease {
-            if let Some(job) = runs[i].begin_generate(lease, embedder) {
-                let embedder = Arc::clone(embedder);
-                if recording {
-                    arm_starts.push((i, llmms_obs::trace::tick_mark()));
+    let mut fanned = if targets.len() >= 2 {
+        fan_out(runs, targets, budget, embedder, recording)
+    } else {
+        Vec::new()
+    };
+    targets
+        .iter()
+        .map(|&(i, request)| {
+            let (start, computed) = match fanned.get_mut(i).and_then(Option::take) {
+                Some((start, computed)) => (start, Some(computed)),
+                None => {
+                    let start = recording.then(tick_mark);
+                    let lease = request.min(budget.remaining());
+                    let computed = runs[i].begin_generate(lease).map(|job| {
+                        llmms_exec::run_contained(|| compute_marked(job, embedder, recording))
+                    });
+                    (start, computed)
                 }
-                jobs.push((i, move || {
-                    let done = job.compute(&embedder);
-                    // A bare clock read (no trace state touched); the
-                    // coordinator stamps it onto the arm span at the
-                    // barrier, so the span's end time is when the work
-                    // finished, not when the barrier drained.
-                    let end = recording.then(llmms_obs::trace::tick_mark);
-                    (done, end)
-                }));
+            };
+            let run = &mut runs[i];
+            let (chunk, end, retry) = match computed {
+                Some(Ok((done, end))) => {
+                    let retry = (done.retries > 0).then_some((done.retries, done.backoff));
+                    (run.finish_generate(done, budget), end, retry)
+                }
+                // Nothing of the lease was committed, so the budget needs
+                // no refund: a granted lease commits in full or not at all.
+                Some(Err(p)) => (run.poison(&p), recording.then(tick_mark), None),
+                None => (run.idle_chunk(), start, None),
+            };
+            if let (Some(start), Some(end)) = (start, end) {
+                record_arm_span(trace, i, run, &chunk, start, end, retry);
+            }
+            (i, chunk)
+        })
+        .collect()
+}
+
+/// Start the jobs of every arm whose lease the pessimistic plan covers on
+/// the executor and wait for them. Returns, per arm index, the job's start
+/// mark and result; deferred arms, zero leases and failed runs have none.
+fn fan_out(
+    runs: &mut [ModelRun],
+    targets: &[(usize, usize)],
+    budget: &TokenBudget,
+    embedder: &SharedEmbedder,
+    recording: bool,
+) -> Vec<Option<(Option<TickMark>, Computed)>> {
+    let requests: Vec<usize> = targets.iter().map(|&(_, request)| request).collect();
+    let mut starts = vec![None; runs.len()];
+    let mut jobs = Vec::new();
+    for (&(i, _), lease) in targets.iter().zip(budget.plan_leases(&requests)) {
+        if let Lease::Granted(lease) = lease {
+            if let Some(job) = runs[i].begin_generate(lease) {
+                let embedder = Arc::clone(embedder);
+                starts[i] = recording.then(tick_mark);
+                jobs.push((i, move || compute_marked(job, &embedder, recording)));
             }
         }
     }
@@ -778,123 +555,47 @@ pub(crate) fn generate_round(
         .filter_map(|(_, r)| r.as_ref().ok())
         .map(|(d, _)| d.busy)
         .sum();
-    let mut by_arm: Vec<Option<(GenDone, Option<llmms_obs::trace::TickMark>)>> =
-        (0..runs.len()).map(|_| None).collect();
-    // Arms whose job died on a worker (panic) instead of returning. Their
-    // session is gone with the task, so they cannot replay sequentially —
-    // they fail in place at the barrier.
-    let mut poisoned: Vec<Option<llmms_exec::TaskPoisoned>> =
-        (0..runs.len()).map(|_| None).collect();
-    for (i, result) in done {
-        match result {
-            Ok(d) => by_arm[i] = Some(d),
-            Err(p) => poisoned[i] = Some(p),
-        }
-    }
     parallel_round_metrics(fan_out, busy, wall);
-    targets
-        .iter()
-        .map(|&(i, request)| {
-            let chunk = match by_arm[i].take() {
-                Some((d, end_mark)) => {
-                    if recording {
-                        let start = arm_starts
-                            .iter()
-                            .position(|(arm, _)| *arm == i)
-                            .map(|p| arm_starts.swap_remove(p).1);
-                        if let (Some(start), Some(end)) = (start, end_mark) {
-                            // Hot success arms carry only inline numerics
-                            // (`arm` index + `tokens`) — the arm→model
-                            // binding is recorded once per trace on the
-                            // `orchestrate` span's `arms` attribute. Error
-                            // arms are rare and name the model directly.
-                            let mut attrs = llmms_obs::trace::AttrList::new();
-                            attrs.push("arm", (i as u64).into());
-                            let mut status = llmms_obs::SpanStatus::Ok;
-                            match &d.outcome {
-                                GenOutcome::Chunk(chunk) => {
-                                    attrs.push("tokens", chunk.tokens.into());
-                                }
-                                GenOutcome::Error { message, .. } => {
-                                    status = llmms_obs::SpanStatus::Error;
-                                    attrs.push("model", Arc::clone(&runs[i].shared_name).into());
-                                    attrs.push("error", message.clone().into());
-                                }
-                            }
-                            let arm_id = trace.record_span("arm", start, end, status, attrs);
-                            if d.retries_delta > 0 {
-                                let mut retry = llmms_obs::trace::AttrList::new();
-                                retry.push("count", d.retries_delta.into());
-                                retry.push(
-                                    "backoff_ms",
-                                    (d.backoff_delta.as_millis() as u64).into(),
-                                );
-                                trace.record_span_under(
-                                    arm_id,
-                                    "retry",
-                                    end,
-                                    end,
-                                    llmms_obs::SpanStatus::Ok,
-                                    retry,
-                                );
-                            }
-                        }
-                    }
-                    let was_chunk = matches!(d.outcome, GenOutcome::Chunk(_));
-                    let chunk = runs[i].finish_generate(d, budget);
-                    // A stall streak materializes only here, at the barrier:
-                    // the worker saw an ordinary chunk, so the failure needs
-                    // its own marker span.
-                    if was_chunk && chunk.done == Some(DoneReason::Failed) {
-                        arm_failed_span(&runs[i], trace);
-                    }
-                    chunk
-                }
-                None => match poisoned[i].take() {
-                    // The lease was planned but never committed: leaving it
-                    // ungranted only strands headroom for this round, so the
-                    // budget invariant (granted leases commit in full, in arm
-                    // order) holds without touching the accountant.
-                    Some(p) => runs[i].poison(&p, trace),
-                    None => contained_generate(&mut runs[i], request, budget, trace),
-                },
-            };
-            (i, chunk)
-        })
-        .collect()
+    let mut by_arm: Vec<Option<(Option<TickMark>, Computed)>> =
+        (0..runs.len()).map(|_| None).collect();
+    for (i, computed) in done {
+        by_arm[i] = Some((starts[i], computed));
+    }
+    by_arm
 }
 
-/// [`traced_generate`] on the calling thread with the arm's panic
-/// contained the way the executor contains a fanned-out arm's: the arm
-/// fails in place, naming the poison, and nothing is charged for the call.
-fn contained_generate(
-    run: &mut ModelRun,
-    requested: usize,
-    budget: &mut TokenBudget,
-    trace: &llmms_obs::SpanContext,
-) -> Chunk {
-    let used = budget.used();
-    run.tokens_floor = run.session.tokens_generated();
-    match llmms_exec::run_contained(|| traced_generate(run, requested, budget, trace)) {
-        Ok(chunk) => chunk,
-        Err(p) => {
-            budget.refund(budget.used() - used);
-            run.poison(&p, trace)
-        }
+/// Record arm `i`'s `"arm"` span for one step, from `start` to `end`, with
+/// its retries as a zero-length `"retry"` child. A step that left the arm
+/// `Failed` is an error span naming the model and the error; any other
+/// carries only inline numerics (the arm index and the chunk's tokens) —
+/// the arm→model binding is recorded once per trace, on the `orchestrate`
+/// span's `arms` attribute.
+fn record_arm_span(
+    trace: &SpanContext,
+    i: usize,
+    run: &ModelRun,
+    chunk: &Chunk,
+    start: TickMark,
+    end: TickMark,
+    retry: Option<(u32, Duration)>,
+) {
+    let mut attrs = AttrList::new();
+    attrs.push("arm", (i as u64).into());
+    let status = if chunk.done == Some(DoneReason::Failed) {
+        attrs.push("model", Arc::clone(&run.shared_name).into());
+        attrs.push("error", run.error.clone().unwrap_or_default().into());
+        SpanStatus::Error
+    } else {
+        attrs.push("tokens", chunk.tokens.into());
+        SpanStatus::Ok
+    };
+    let arm_id = trace.record_span("arm", start, end, status, attrs);
+    if let Some((count, backoff)) = retry {
+        let mut attrs = AttrList::new();
+        attrs.push("count", count.into());
+        attrs.push("backoff_ms", (backoff.as_millis() as u64).into());
+        trace.record_span_under(arm_id, "retry", end, end, SpanStatus::Ok, attrs);
     }
-}
-
-/// A zero-length error `"arm_failed"` span naming the model and its error,
-/// for a failure the arm's own span could not record.
-fn arm_failed_span(run: &ModelRun, trace: &llmms_obs::SpanContext) {
-    if !trace.is_enabled() {
-        return;
-    }
-    let now = llmms_obs::trace::tick_mark();
-    let mut attrs = llmms_obs::trace::AttrList::new();
-    attrs.push("model", Arc::clone(&run.shared_name).into());
-    attrs.push("error", run.error.clone().unwrap_or_default().into());
-    trace.record_span("arm_failed", now, now, llmms_obs::SpanStatus::Error, attrs);
 }
 
 /// Record the parallel-round fan-out and busy/wall metrics. The speedup
@@ -969,19 +670,16 @@ impl GenerationSession for DeadSession {
 pub(crate) fn emit_preexisting_failures(
     runs: &[ModelRun],
     recorder: &mut EventRecorder,
-    trace: &llmms_obs::SpanContext,
+    trace: &SpanContext,
 ) {
-    for run in runs.iter().filter(|r| r.failed) {
+    for (i, run) in runs.iter().enumerate().filter(|(_, r)| r.failed) {
         recorder.emit_with(|| OrchestrationEvent::ModelFailed {
             model: run.name.clone(),
             error: run.error.clone().unwrap_or_default(),
         });
         if trace.is_enabled() {
-            let mut span = trace.span("arm");
-            span.set_status(llmms_obs::SpanStatus::Error);
-            span.attr_with("model", || Arc::clone(&run.shared_name));
-            span.attr_with("error", || run.error.clone().unwrap_or_default());
-            span.end();
+            let now = tick_mark();
+            record_arm_span(trace, i, run, &run.idle_chunk(), now, now, None);
         }
     }
 }
@@ -1106,6 +804,15 @@ mod tests {
         )
     }
 
+    /// One single-target round for arm 0 through the production path.
+    fn step(runs: &mut [ModelRun], request: usize, budget: &mut TokenBudget) -> Chunk {
+        let embedder = llmms_embed::default_embedder();
+        let trace = SpanContext::disabled();
+        generate_round(runs, &[(0, request)], budget, &embedder, &trace)
+            .remove(0)
+            .1
+    }
+
     #[test]
     fn generate_charges_and_refunds_budget() {
         let models = pool();
@@ -1113,7 +820,7 @@ mod tests {
         let mut budget = TokenBudget::new(1000);
         // Ask for far more tokens than the answer holds: the unused grant
         // must come back.
-        let chunk = runs[0].generate(500, &mut budget);
+        let chunk = step(&mut runs, 500, &mut budget);
         assert!(chunk.tokens < 500);
         assert_eq!(budget.used(), chunk.tokens);
         assert_eq!(runs[0].tokens(), chunk.tokens);
@@ -1124,7 +831,7 @@ mod tests {
         let models = pool();
         let mut runs = start(&models);
         let mut budget = TokenBudget::new(0);
-        let chunk = runs[0].generate(10, &mut budget);
+        let chunk = step(&mut runs, 10, &mut budget);
         assert_eq!(chunk.tokens, 0);
         assert!(!runs[0].has_output());
     }
@@ -1132,19 +839,18 @@ mod tests {
     #[test]
     fn embedding_is_cached_until_text_changes() {
         let models = pool();
-        let embedder = llmms_embed::default_embedder();
         let mut runs = start(&models);
         let mut budget = TokenBudget::new(1000);
-        runs[0].generate(2, &mut budget);
-        assert!(runs[0].embedding_stale());
-        let a = runs[0].embedding(&embedder);
-        assert!(!runs[0].embedding_stale());
-        let b = runs[0].embedding(&embedder);
+        step(&mut runs, 2, &mut budget);
+        let a = runs[0].embedding();
+        let b = runs[0].embedding();
         // Not merely equal values: the very same allocation is handed out.
         assert!(Arc::ptr_eq(&a, &b), "fresh cache must not recompute");
-        runs[0].generate(2, &mut budget);
-        assert!(runs[0].embedding_stale());
-        let c = runs[0].embedding(&embedder);
+        // A zero lease runs no job and leaves the cache alone.
+        step(&mut runs, 0, &mut budget);
+        assert!(Arc::ptr_eq(&a, &runs[0].embedding()));
+        step(&mut runs, 2, &mut budget);
+        let c = runs[0].embedding();
         assert_ne!(a, c, "embedding must refresh after new tokens");
     }
 
@@ -1155,8 +861,8 @@ mod tests {
         let mut budget = TokenBudget::new(1000);
         let mut runs = start(&models);
         for _ in 0..6 {
-            runs[0].generate(3, &mut budget);
-            let fast = runs[0].embedding(&embedder);
+            step(&mut runs, 3, &mut budget);
+            let fast = runs[0].embedding();
             let scratch = embedder.embed(runs[0].response());
             let cos = llmms_embed::cosine_embeddings(&fast, &scratch);
             assert!(
@@ -1175,15 +881,19 @@ mod tests {
                     (r.tokens(), r.rounds, r.retries, r.stalls),
                     r.simulated_latency(),
                     (r.done(), r.error.clone()),
+                    r.has_output().then(|| r.embedding()),
                 )
             })
             .collect()
     }
 
+    /// The production round against the test-only arm-by-arm reference
+    /// ([`ModelRun::generate`] in `reference.rs`): fanned-out rounds of
+    /// every active arm alternate with single-target rounds.
     #[test]
     fn generate_round_matches_the_inline_path() {
         let embedder = llmms_embed::default_embedder();
-        let trace = llmms_obs::SpanContext::disabled();
+        let trace = SpanContext::disabled();
         let mut models = pool();
         models[0] = ChaosModel::wrap(Arc::clone(&models[0]), FaultKind::Flaky { p: 0.4 }, 11);
         // The second limit is tight enough that the pessimistic lease plan
@@ -1195,10 +905,11 @@ mod tests {
             let mut fanned_budget = TokenBudget::new(limit);
             let mut inline_budget = TokenBudget::new(limit);
             let mut deferred = false;
-            for _ in 0..8 {
+            for round in 0..12 {
                 let targets: Vec<(usize, usize)> = (0..fanned.len())
                     .filter(|&i| fanned[i].is_active())
                     .map(|i| (i, 2))
+                    .take(if round % 3 == 2 { 1 } else { usize::MAX })
                     .collect();
                 let requests: Vec<usize> = targets.iter().map(|&(_, r)| r).collect();
                 deferred |= fanned_budget
@@ -1210,7 +921,7 @@ mod tests {
                     .iter()
                     .map(|&(i, request)| {
                         let run = &mut inline[i];
-                        (i, traced_generate(run, request, &mut inline_budget, &trace))
+                        (i, run.generate(request, &mut inline_budget, &embedder))
                     })
                     .collect();
                 assert_eq!(from_round, one_by_one);
@@ -1228,7 +939,7 @@ mod tests {
         let models = pool();
         let mut runs = start(&models);
         let mut budget = TokenBudget::new(1000);
-        runs[0].generate(1, &mut budget);
+        step(&mut runs, 1, &mut budget);
         runs[0].prune();
         assert!(!runs[0].is_active());
         assert_eq!(runs[0].done(), Some(DoneReason::Aborted));
@@ -1255,7 +966,7 @@ mod tests {
         let mut budget = TokenBudget::new(100);
         let stall_limit = RetryConfig::default().stall_limit;
         for _ in 0..stall_limit {
-            runs[0].generate(10, &mut budget);
+            step(&mut runs, 10, &mut budget);
         }
         assert!(runs[0].failed);
         assert_eq!(runs[0].done(), Some(DoneReason::Failed));
@@ -1284,7 +995,7 @@ mod tests {
         let mut budget = TokenBudget::new(1000);
         let mut guard = 0;
         while runs[0].done().is_none() && guard < 200 {
-            runs[0].generate(8, &mut budget);
+            step(&mut runs, 8, &mut budget);
             guard += 1;
         }
         if runs[0].retries > 0 && !runs[0].failed {
@@ -1318,15 +1029,15 @@ mod tests {
             &health,
         );
         let mut budget = TokenBudget::new(1000);
-        let first = runs[0].generate(4, &mut budget);
+        let first = step(&mut runs, 4, &mut budget);
         assert!(first.tokens > 0);
         let used_before = budget.used();
-        let failed = runs[0].generate(4, &mut budget);
+        let failed = step(&mut runs, 4, &mut budget);
         assert_eq!(failed.done, Some(DoneReason::Failed));
         assert_eq!(budget.used(), used_before, "failed grant must be refunded");
         assert!(runs[0].failed);
-        // Once failed, further generate calls are free no-ops.
-        let again = runs[0].generate(4, &mut budget);
+        // Once failed, further steps are free no-ops.
+        let again = step(&mut runs, 4, &mut budget);
         assert_eq!(again.done, Some(DoneReason::Failed));
         assert_eq!(budget.used(), used_before);
     }
@@ -1368,7 +1079,7 @@ mod tests {
         );
         let mut budget = TokenBudget::new(1000);
         while runs[0].done().is_none() {
-            runs[0].generate(16, &mut budget);
+            step(&mut runs, 16, &mut budget);
         }
         // `start_all` admits every pool model into the registry; the one we
         // drove to a natural stop must show a clean streak.

@@ -30,13 +30,9 @@
 //! from-scratch reference lives in this file as test-only code).
 
 use crate::reward::RewardWeights;
-use crate::runpool::{EmbedDone, EmbedJob, ModelRun};
-use llmms_embed::{cosine_embeddings, Embedding, SharedEmbedder};
+use crate::runpool::ModelRun;
+use llmms_embed::{cosine_embeddings, Embedding};
 use std::sync::Arc;
-
-/// Below this much pending (un-embedded) text across all dirty arms the
-/// dispatch overhead outweighs the parallelism; [`refresh`] embeds inline.
-const MIN_PARALLEL_BYTES: usize = 1024;
 
 /// Cross-round cache of query similarities and pairwise agreements.
 pub struct ScoreCache {
@@ -135,8 +131,7 @@ impl ScoreCache {
 /// agreement term. Other arms keep whatever `scores` already held.
 pub(crate) fn score_where(
     cache: &mut ScoreCache,
-    runs: &mut [ModelRun],
-    embedder: &SharedEmbedder,
+    runs: &[ModelRun],
     participates: impl Fn(&ModelRun) -> bool,
     scores: &mut [f64],
 ) {
@@ -144,11 +139,7 @@ pub(crate) fn score_where(
         .iter()
         .map(|r| r.has_output() && participates(r))
         .collect();
-    #[cfg(test)]
-    if crate::reference::current().scratch_scoring {
-        return score_from_scratch(cache, runs, embedder, &mask, scores);
-    }
-    refresh(cache, runs, embedder);
+    refresh(cache, runs);
     for (i, _) in mask.iter().enumerate().filter(|(_, &m)| m) {
         scores[i] = cache.score(i, &mask);
     }
@@ -158,14 +149,16 @@ pub(crate) fn score_where(
 /// from scratch and score with [`crate::reward::score_all`]; the cache only
 /// lends its query embedding and weights.
 #[cfg(test)]
-fn score_from_scratch(
+pub(crate) fn score_from_scratch(
     cache: &ScoreCache,
     runs: &[ModelRun],
-    embedder: &SharedEmbedder,
-    mask: &[bool],
+    embedder: &llmms_embed::SharedEmbedder,
+    participates: impl Fn(&ModelRun) -> bool,
     scores: &mut [f64],
 ) {
-    let arms: Vec<usize> = (0..runs.len()).filter(|&i| mask[i]).collect();
+    let arms: Vec<usize> = (0..runs.len())
+        .filter(|&i| runs[i].has_output() && participates(&runs[i]))
+        .collect();
     let embeddings: Vec<Embedding> = arms
         .iter()
         .map(|&i| embedder.embed(runs[i].response()))
@@ -176,61 +169,22 @@ fn score_from_scratch(
     }
 }
 
-/// Run the embed jobs on the shared worker pool and collect every result.
-fn run_jobs(jobs: Vec<(usize, EmbedJob)>, embedder: &SharedEmbedder) -> Vec<(usize, EmbedDone)> {
-    let tasks: Vec<_> = jobs
-        .into_iter()
-        .map(|(idx, job)| {
-            let embedder = Arc::clone(embedder);
-            (idx, move || job.compute(&embedder))
-        })
-        .collect();
-    llmms_exec::run_indexed(tasks)
-}
-
-/// Bring the cache up to date with the runs: embed every arm whose response
-/// grew (on the shared worker pool when several changed at once and the
-/// pending text is large enough to amortize dispatch) and install the fresh
-/// embeddings. Exports the cache-hit-rate, dirty-arm-count and refresh
-/// latency metrics surfaced in `/stats`.
-fn refresh(cache: &mut ScoreCache, runs: &mut [ModelRun], embedder: &SharedEmbedder) {
+/// Install every run's current embedding — the step that grew a response
+/// already folded it in — and export the cache-hit-rate, dirty-arm-count
+/// and install-latency metrics surfaced in `/stats`. An arm is dirty when
+/// its row was recomputed (a new handle) and clean when its handle was
+/// already installed. Returns `(dirty, clean)`.
+fn refresh(cache: &mut ScoreCache, runs: &[ModelRun]) -> (usize, usize) {
     let registry = llmms_obs::Registry::global();
     let refresh_timer = registry.histogram("scoring_refresh_us");
     let _span = registry.span_on(&refresh_timer);
 
-    let mut jobs = Vec::new();
-    let mut with_output = 0usize;
-    for (i, run) in runs.iter_mut().enumerate() {
-        if !run.has_output() {
-            continue;
-        }
-        with_output += 1;
-        if run.embedding_stale() {
-            if let Some(job) = run.begin_embed(embedder) {
-                jobs.push((i, job));
-            }
-        }
-    }
-    let dirty = jobs.len();
-
-    let pending_bytes: usize = jobs.iter().map(|(_, j)| j.pending_bytes()).sum();
-    let done = if dirty >= 2 && pending_bytes >= MIN_PARALLEL_BYTES {
-        run_jobs(jobs, embedder)
-    } else {
-        jobs.into_iter()
-            .map(|(i, job)| (i, job.compute(embedder)))
-            .collect()
-    };
-    for (i, result) in done {
-        runs[i].finish_embed(result);
-    }
-
-    for (i, run) in runs.iter_mut().enumerate() {
-        if run.has_output() {
-            // Fresh runs hand back their cached Arc; unchanged arms no-op
-            // inside `set_embedding` via pointer identity.
-            let e = run.embedding(embedder);
-            cache.set_embedding(i, e);
+    let (mut dirty, mut clean) = (0usize, 0usize);
+    for (i, run) in runs.iter().enumerate().filter(|(_, r)| r.has_output()) {
+        if cache.set_embedding(i, run.embedding()) {
+            dirty += 1;
+        } else {
+            clean += 1;
         }
     }
 
@@ -242,12 +196,13 @@ fn refresh(cache: &mut ScoreCache, runs: &mut [ModelRun], embedder: &SharedEmbed
         registry
             .counter("scoring_arms_clean_total")
             .metric
-            .add((with_output - dirty) as u64);
+            .add(clean as u64);
         registry
             .histogram("scoring_dirty_arms")
             .metric
             .record(dirty as f64);
     }
+    (dirty, clean)
 }
 
 #[cfg(test)]
@@ -357,7 +312,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_results_match_serial_compute() {
+    fn grown_arms_count_dirty_and_unchanged_arms_clean() {
         use crate::budget::TokenBudget;
         use llmms_models::{GenOptions, HealthRegistry, KnowledgeStore, ModelProfile, SimLlm};
 
@@ -369,15 +324,12 @@ mod tests {
             correct: vec![],
             incorrect: vec!["The capital of France is Lyon".into()],
         }];
-        let store = Arc::new(KnowledgeStore::build(
-            entries,
-            llmms_embed::default_embedder(),
-        ));
+        let embedder = llmms_embed::default_embedder();
+        let store = Arc::new(KnowledgeStore::build(entries, Arc::clone(&embedder)));
         let models: Vec<llmms_models::SharedModel> = ModelProfile::evaluation_pool()
             .into_iter()
             .map(|p| Arc::new(SimLlm::new(p, Arc::clone(&store))) as llmms_models::SharedModel)
             .collect();
-        let embedder = llmms_embed::default_embedder();
         let mut runs = ModelRun::start_all(
             &models,
             "What is the capital of France?",
@@ -385,31 +337,24 @@ mod tests {
             crate::config::RetryConfig::default(),
             &Arc::new(HealthRegistry::default()),
         );
+        let query = Arc::new(embedder.embed("What is the capital of France?"));
+        let mut cache = ScoreCache::new(3, query, RewardWeights::default());
         let mut budget = TokenBudget::new(10_000);
-        for run in runs.iter_mut() {
-            for _ in 0..3 {
-                let _ = run.generate(8, &mut budget);
-            }
+        let trace = llmms_obs::SpanContext::disabled();
+        let mut round = |runs: &mut [ModelRun], targets: &[(usize, usize)]| {
+            crate::runpool::generate_round(runs, targets, &mut budget, &embedder, &trace);
+        };
+        // Two 3-arm OUA rounds (fanned out): every arm grew both times.
+        for _ in 0..2 {
+            round(&mut runs, &[(0, 1), (1, 1), (2, 1)]);
+            assert!(runs.iter().all(ModelRun::has_output));
+            assert_eq!(refresh(&mut cache, &runs), (3, 0));
         }
-
-        // Serial oracle: embed each response text from scratch.
-        let oracle: Vec<_> = runs.iter().map(|r| embedder.embed(r.response())).collect();
-
-        let jobs: Vec<_> = runs
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(i, r)| r.begin_embed(&embedder).map(|j| (i, j)))
-            .collect();
-        assert!(!jobs.is_empty());
-        let done = run_jobs(jobs, &embedder);
-        for (i, result) in done {
-            runs[i].finish_embed(result);
-        }
-        for (i, run) in runs.iter_mut().enumerate() {
-            let fast = run.embedding(&embedder);
-            let cos = llmms_embed::cosine_embeddings(&fast, &oracle[i]);
-            assert!(cos >= 1.0 - 1e-5, "arm {i}: cos={cos}");
-        }
+        // A MAB pull grows one arm: a rank-1 update.
+        assert!(runs[1].is_active());
+        round(&mut runs, &[(1, 1)]);
+        assert_eq!(refresh(&mut cache, &runs), (1, 2));
+        assert_eq!(refresh(&mut cache, &runs), (0, 3));
     }
 
     #[test]

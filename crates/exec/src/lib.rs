@@ -210,9 +210,9 @@ impl QueryHandle {
         }
     }
 
-    /// Make this query the ambient target for [`submit_indexed`] /
-    /// [`run_indexed`] on the current thread until the guard drops.
-    /// Scopes nest; the previous handle is restored.
+    /// Make this query the ambient target for [`submit_indexed`] on the
+    /// current thread until the guard drops. Scopes nest; the previous
+    /// handle is restored.
     pub fn enter(&self) -> QueryScope {
         let prev = CURRENT.with(|c| c.replace(Some(self.clone())));
         QueryScope { prev }
@@ -241,6 +241,23 @@ impl Drop for QueryScope {
 /// The query scope entered on the current thread, if any.
 pub fn current_query() -> Option<QueryHandle> {
     CURRENT.with(|c| c.borrow().clone())
+}
+
+/// Register a query and enter its scope, unless this thread already has a
+/// query scope entered: a caller that registered first (the platform scopes
+/// a whole request, retrieval included) keeps its handle, and nothing is
+/// counted twice. The scope owns the registration, which ends when the
+/// returned guard drops. `None` for tenant means [`DEFAULT_TENANT`].
+pub fn enter_query(
+    tenant: Option<&str>,
+    priority: Priority,
+    deadline: Option<Instant>,
+) -> Option<QueryScope> {
+    if current_query().is_some() {
+        return None;
+    }
+    let tenant = tenant.unwrap_or(DEFAULT_TENANT);
+    Some(QueryHandle::register(tenant, priority, deadline).enter())
 }
 
 /// The shared fallback query for unscoped work. Registered lazily under
@@ -381,16 +398,6 @@ impl<T> Batch<T> {
         }
         out
     }
-
-    /// [`Batch::wait`], dropping poisoned slots. For callers whose work is
-    /// best-effort per item (segment fan-out, embed refreshes); callers
-    /// that must account for every index use [`Batch::wait`] directly.
-    pub fn wait_ok(self) -> Vec<(usize, T)> {
-        self.wait()
-            .into_iter()
-            .filter_map(|(i, r)| r.ok().map(|v| (i, v)))
-            .collect()
-    }
 }
 
 /// Submit every task to the pool without waiting, attributed to the current
@@ -448,32 +455,25 @@ where
     }
 }
 
-/// Run every task on the pool and collect `(index, result)` pairs for the
-/// tasks that completed. Result order is completion order; callers match
-/// results to their work items by the carried index. Panicked tasks are
-/// dropped from the output (counted by `exec_task_panics_total`); callers
-/// that must see poisons use [`submit_indexed`] + [`Batch::wait`].
-pub fn run_indexed<T, F>(tasks: Vec<(usize, F)>) -> Vec<(usize, T)>
-where
-    T: Send + 'static,
-    F: FnOnce() -> T + Send + 'static,
-{
-    submit_indexed(tasks).wait_ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Every slot's value in index order; panics on a poisoned slot.
+    fn values<T>(done: Vec<(usize, Result<T, TaskPoisoned>)>) -> Vec<(usize, T)> {
+        let mut out: Vec<(usize, T)> = done
+            .into_iter()
+            .map(|(i, r)| (i, r.expect("task completed")))
+            .collect();
+        out.sort_by_key(|&(i, _)| i);
+        out
+    }
+
     #[test]
-    fn run_indexed_returns_every_result_with_its_index() {
+    fn submit_returns_every_result_with_its_index() {
         let tasks: Vec<(usize, _)> = (0..24).map(|i| (i, move || i * i)).collect();
-        let mut done = run_indexed(tasks);
-        done.sort_by_key(|&(i, _)| i);
-        assert_eq!(done.len(), 24);
-        for (i, v) in done {
-            assert_eq!(v, i * i);
-        }
+        let done = values(submit_indexed(tasks).wait());
+        assert_eq!(done, (0..24).map(|i| (i, i * i)).collect::<Vec<_>>());
     }
 
     #[test]
@@ -484,8 +484,7 @@ mod tests {
         let batch = submit_indexed(tasks);
         let local: usize = (0..1000).sum(); // caller-side work
         assert_eq!(local, 499_500);
-        let mut done = batch.wait_ok();
-        done.sort_by_key(|&(i, _)| i);
+        let done = values(batch.wait());
         assert_eq!(done, (0..6).map(|i| (i, i + 100)).collect::<Vec<_>>());
     }
 
@@ -505,7 +504,7 @@ mod tests {
                 })
             })
             .collect();
-        let done = run_indexed(tasks);
+        let done = values(submit_indexed(tasks).wait());
         assert_eq!(done.len(), n);
     }
 
@@ -545,8 +544,7 @@ mod tests {
         let poisons = submit_indexed(storm).wait();
         assert!(poisons.iter().all(|(_, r)| r.is_err()));
         let after: Vec<(usize, _)> = (0..8).map(|i| (i, move || i + 1)).collect();
-        let mut done = run_indexed(after);
-        done.sort_by_key(|&(i, _)| i);
+        let done = values(submit_indexed(after).wait());
         assert_eq!(done, (0..8).map(|i| (i, i + 1)).collect::<Vec<_>>());
     }
 
@@ -556,10 +554,22 @@ mod tests {
         let _scope = handle.enter();
         let entered = current_query().expect("scope active");
         assert_eq!(entered.qid(), handle.qid());
-        let done = run_indexed(vec![(0usize, || 42usize)]);
+        let done = values(submit_indexed(vec![(0usize, || 42usize)]).wait());
         assert_eq!(done, vec![(0, 42)]);
         drop(_scope);
         // Previous scope (none) restored.
+        assert!(current_query().is_none());
+    }
+
+    #[test]
+    fn enter_query_keeps_an_ambient_scope() {
+        let outer = enter_query(Some("outer-tenant"), Priority::Normal, None);
+        let qid = current_query().expect("registered and entered").qid();
+        assert!(outer.is_some());
+        // A second caller on the same thread reuses the ambient handle.
+        assert!(enter_query(None, Priority::High, None).is_none());
+        assert_eq!(current_query().map(|h| h.qid()), Some(qid));
+        drop(outer);
         assert!(current_query().is_none());
     }
 
@@ -601,7 +611,7 @@ mod tests {
         assert!(held.active_queries >= 1, "{held:?}");
         *gate.0.lock().unwrap() = true;
         gate.1.notify_all();
-        assert_eq!(batch.wait_ok().len(), total);
+        assert_eq!(values(batch.wait()).len(), total);
         let after = snapshot();
         assert!(after.dispatched >= before.dispatched + total as u64);
     }
@@ -620,8 +630,7 @@ mod tests {
                     );
                     let tasks: Vec<(usize, _)> =
                         (0..16).map(|i| (i, move || t * 100 + i)).collect();
-                    let mut done = submit_on(&handle, tasks).wait_ok();
-                    done.sort_by_key(|&(i, _)| i);
+                    let done = values(submit_on(&handle, tasks).wait());
                     assert_eq!(done.len(), 16);
                     for (i, v) in done {
                         assert_eq!(v, t * 100 + i);

@@ -355,22 +355,13 @@ impl Platform {
         // tenant too, not just generation rounds. The ambient scope makes
         // the orchestrator reuse this handle instead of registering its
         // own.
-        let _sched_scope = if llmms_exec::current_query().is_none() {
-            let handle = llmms_exec::QueryHandle::register(
-                options
-                    .tenant
-                    .as_deref()
-                    .unwrap_or(llmms_exec::DEFAULT_TENANT),
-                options.priority,
-                options
-                    .deadline_ms
-                    .map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms)),
-            );
-            let scope = handle.enter();
-            Some((scope, handle))
-        } else {
-            None
-        };
+        let _sched_scope = llmms_exec::enter_query(
+            options.tenant.as_deref(),
+            options.priority,
+            options
+                .deadline_ms
+                .map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms)),
+        );
 
         // Brownout level 3 skips retrieval entirely: under that much
         // pressure the embedding + search cost buys too little.

@@ -82,7 +82,7 @@ impl Gauge {
     }
 }
 
-/// Number of log₂ buckets. With [`OFFSET`] = 40 the histogram resolves
+/// Number of log₂ buckets. With `OFFSET` = 40 the histogram resolves
 /// values from 2⁻⁴⁰ up to 2⁴⁰ — microsecond latencies, token counts and
 /// unit-interval rewards all fit comfortably.
 pub const BUCKETS: usize = 81;

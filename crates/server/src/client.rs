@@ -91,21 +91,27 @@ pub fn request_with_timeouts(
     };
     stream.set_read_timeout(read_timeout)?;
     stream.set_write_timeout(read_timeout)?;
-    let body = body.unwrap_or("");
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: llmms\r\nConnection: close\r\nContent-Type: application/json\r\nContent-Length: {}\r\n",
-        body.len()
-    )?;
-    for (name, value) in headers {
-        write!(stream, "{name}: {value}\r\n")?;
-    }
-    write!(stream, "\r\n{body}")?;
-    stream.flush()?;
+    // One write: a peer that answers after the head must not see the body
+    // arrive after it closed (the client would then read a reset).
+    stream.write_all(encode_request(method, path, headers, body.unwrap_or("")).as_bytes())?;
     let mut raw = String::new();
     stream.read_to_string(&mut raw)?;
     parse_response(&raw)
         .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "bad response"))
+}
+
+/// The request head and body as one buffer, in wire order.
+fn encode_request(method: &str, path: &str, headers: &[(&str, &str)], body: &str) -> String {
+    let mut request = format!(
+        "{method} {path} HTTP/1.1\r\nHost: llmms\r\nConnection: close\r\nContent-Type: application/json\r\nContent-Length: {}\r\n",
+        body.len()
+    );
+    for (name, value) in headers {
+        request.push_str(&format!("{name}: {value}\r\n"));
+    }
+    request.push_str("\r\n");
+    request.push_str(body);
+    request
 }
 
 fn parse_response(raw: &str) -> Option<ClientResponse> {
@@ -174,6 +180,33 @@ fn parse_sse(payload: &str) -> Vec<(String, String)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn request_is_encoded_as_one_buffer() {
+        let request = encode_request(
+            "POST",
+            "/api/generate",
+            &[("X-LLMMS-Trace-Id", "00ff"), ("X-LLMMS-Deadline-Ms", "250")],
+            r#"{"prompt":"hi"}"#,
+        );
+        assert_eq!(
+            request,
+            "POST /api/generate HTTP/1.1\r\n\
+             Host: llmms\r\n\
+             Connection: close\r\n\
+             Content-Type: application/json\r\n\
+             Content-Length: 15\r\n\
+             X-LLMMS-Trace-Id: 00ff\r\n\
+             X-LLMMS-Deadline-Ms: 250\r\n\
+             \r\n\
+             {\"prompt\":\"hi\"}"
+        );
+        assert_eq!(
+            encode_request("GET", "/healthz", &[], ""),
+            "GET /healthz HTTP/1.1\r\nHost: llmms\r\nConnection: close\r\n\
+             Content-Type: application/json\r\nContent-Length: 0\r\n\r\n"
+        );
+    }
 
     #[test]
     fn parse_response_extracts_status_and_body() {

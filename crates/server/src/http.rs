@@ -4,7 +4,7 @@
 //!
 //! The head parser ([`parse_head`]) is shared between the blocking
 //! [`read_request`] used by the thread-pool transport and the incremental
-//! buffer-at-a-time parser in [`crate::edge`], so both transports enforce
+//! buffer-at-a-time parser in the edge module, so both transports enforce
 //! identical request limits and keep-alive semantics.
 
 use std::collections::HashMap;

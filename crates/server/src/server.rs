@@ -3,7 +3,7 @@
 //!
 //! Everything from "a parsed [`Request`] plus somewhere to write the
 //! response" down — tracing, shedding, admission, dispatch, metrics — is
-//! transport-agnostic ([`process_parsed`], generic over
+//! transport-agnostic (`process_parsed`, generic over
 //! [`ResponseSink`]). The platform picks the transport that feeds it:
 //!
 //! * On Linux, [`Server::start_with`] serves through the nonblocking epoll

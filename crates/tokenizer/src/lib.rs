@@ -4,7 +4,7 @@
 //!
 //! * [`words`] — the SQuAD-convention whitespace tokenizer used by the
 //!   evaluation F1 metric.
-//! * [`normalize`] — the shared normalization the embedders apply before
+//! * [`normalize()`] — the shared normalization the embedders apply before
 //!   hashing and weighting terms.
 //!
 //! ## Example

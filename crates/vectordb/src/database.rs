@@ -254,7 +254,7 @@ impl Database {
 
     /// Spawn the background segment compactor: a thread that sweeps
     /// [`Database::compact_segments`] every `interval`. The thread holds
-    /// only a [`Weak`] reference, so dropping the database (and the
+    /// only a [`Weak`](std::sync::Weak) reference, so dropping the database (and the
     /// returned handle) stops it; the handle's [`Drop`] also stops it
     /// eagerly and joins.
     pub fn spawn_compactor(self: &Arc<Self>, interval: std::time::Duration) -> CompactorHandle {

@@ -8,7 +8,7 @@
 //! immutable segment behind an `Arc` — and a fresh head starts. Searches
 //! fan sealed segments out across the shared `llmms-exec` worker pool (the
 //! same threads that run generation arms) while the caller scans the head,
-//! then merge through the bounded [`TopK`] collector. Because every sealed
+//! then merge through the bounded `TopK` collector. Because every sealed
 //! segment returns its own exact top-k and any global winner is necessarily
 //! in its segment's top-k, the merge is *exactly* the global top-k — no
 //! approximation is introduced by the fan-out (HNSW segments stay

@@ -23,7 +23,7 @@
 //!
 //! ## Recovery contract
 //!
-//! [`replay`] reads frames until the first short read, oversized length or
+//! `replay` reads frames until the first short read, oversized length or
 //! checksum mismatch, and reports the byte length of the valid prefix. A
 //! torn tail — a crash mid-append at *any* byte offset — therefore loses at
 //! most the ops that were never fully written: recovery is prefix-consistent

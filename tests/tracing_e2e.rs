@@ -137,9 +137,7 @@ fn traced_query_yields_connected_tree_reachable_from_exemplar() {
 
     // The faulted arm surfaces as an error span carrying its model name.
     let error_arm = spans.iter().find(|s| {
-        (s["name"] == "arm" || s["name"] == "arm_failed")
-            && s["status"] == "error"
-            && s["attrs"]["model"] == "chaos-arm"
+        s["name"] == "arm" && s["status"] == "error" && s["attrs"]["model"] == "chaos-arm"
     });
     assert!(error_arm.is_some(), "chaos arm error span: {spans:#?}");
 
