@@ -1,10 +1,9 @@
 //! Per-connection state for the event loop: the readiness-driven state
 //! machine's data and the incremental request parser.
 //!
-//! The parser consumes from a growing input buffer instead of a blocking
-//! reader, but delegates to the same [`parse_head`]/[`body_len`] the
-//! thread-pool transport uses, so both transports enforce identical
-//! protocol limits.
+//! The parser consumes from a growing input buffer, one read at a time,
+//! and leaves the request limits and framing rules to
+//! [`parse_head`]/[`body_len`].
 
 use crate::edge::outbox::Outbox;
 use crate::edge::poller::Interest;

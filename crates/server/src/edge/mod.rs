@@ -14,17 +14,17 @@
 //! Deadlines (idle, slowloris read, client write-stall) live on a hashed
 //! [`timer::TimerWheel`]; shedding happens at accept time (connection cap
 //! and dispatch-queue depth, 503 + `Retry-After`) before any per-request
-//! resources exist. The request-handling layer above [`process_parsed`]
-//! is shared verbatim with the thread-pool transport — the refactor
-//! boundary `service.rs` never notices which transport ran.
+//! resources exist. Above the loop, a dispatch worker hands each request
+//! and its [`OutboxWriter`] to [`process_parsed`], which routes it to
+//! `service.rs`.
 
 pub mod outbox;
 pub mod poller;
 pub mod timer;
 
-mod conn;
+pub(crate) mod conn;
 
-use crate::http::{render_response, Request, ResponseSink};
+use crate::http::{render_response, Request};
 use crate::server::{
     process_parsed, record_request_tail, InFlightGuard, OverloadState, ServerConfig,
 };
@@ -81,11 +81,13 @@ struct Job {
     start: Instant,
 }
 
-/// The [`ResponseSink`] dispatch workers write into: bytes go to the
-/// connection's outbox (blocking with a stall timeout when full — bounded
+/// Where dispatch workers write a response: bytes go to the connection's
+/// outbox (blocking with a stall timeout when full — bounded
 /// backpressure). The outbox's own notifier nudges the event loop as each
 /// chunk lands, so even pushes larger than the buffer stream through.
-struct OutboxWriter {
+/// Response writers consult [`OutboxWriter::keep_alive`], so the
+/// `Connection` header always matches what the loop will do afterwards.
+pub(crate) struct OutboxWriter {
     outbox: Arc<Outbox>,
     keep_alive: bool,
     stall: std::time::Duration,
@@ -109,12 +111,16 @@ impl Write for OutboxWriter {
     }
 }
 
-impl ResponseSink for OutboxWriter {
-    fn keep_alive(&self) -> bool {
+impl OutboxWriter {
+    /// Whether the connection stays open for another request after this
+    /// response.
+    pub(crate) fn keep_alive(&self) -> bool {
         self.keep_alive
     }
 
-    fn mark_streaming(&mut self) {
+    /// Called before an SSE header goes out: the stream has no content
+    /// length, so the connection must close when it ends.
+    pub(crate) fn mark_streaming(&mut self) {
         self.keep_alive = false;
     }
 }
@@ -485,7 +491,8 @@ impl EventLoop {
             }
             Err(TrySendError::Full(job)) => {
                 // Queue-depth shed at the request boundary: answer 503
-                // ourselves and close, mirroring the thread-pool acceptor.
+                // ourselves and close, as accept does for a fresh
+                // connection while the queue is full.
                 self.overload.queued.fetch_sub(1, Ordering::SeqCst);
                 if registry.enabled() {
                     registry

@@ -1,9 +1,9 @@
 //! # llmms-server
 //!
 //! The application layer of the LLM-MS reproduction (thesis Chapter 5, §7):
-//! a dependency-free threaded HTTP/1.1 server exposing the platform's REST
-//! API with Server-Sent-Events streaming — the role Flask + mod_wsgi play in
-//! the original system.
+//! a dependency-free HTTP/1.1 server on an epoll event loop, exposing the
+//! platform's REST API with Server-Sent-Events streaming — the role Flask +
+//! mod_wsgi play in the original system. It serves only on Linux.
 //!
 //! Routes:
 //!
@@ -23,9 +23,11 @@
 
 #![warn(missing_docs)]
 
+#[cfg(not(target_os = "linux"))]
+compile_error!("llmms-server is epoll-based and serves only on Linux");
+
 pub mod admission;
 pub mod client;
-#[cfg(target_os = "linux")]
 mod edge;
 pub mod http;
 pub mod remote;
@@ -501,14 +503,22 @@ mod tests {
         server.shutdown();
     }
 
+    /// A full dispatch queue is shed by the event loop in both places it
+    /// can be: at the request boundary on a live connection, and at accept
+    /// for a fresh one.
     #[test]
     fn full_handoff_queue_is_shed_at_the_acceptor() {
-        use std::io::Read;
-        // Blocking-transport-specific: the acceptor sheds a *connection*
-        // parked in the handoff queue. The edge parks connections for free
-        // and sheds at the request boundary instead (covered by the edge
-        // tests).
-        let server = Server::start_blocking(
+        use std::io::{Read, Write};
+        use std::net::TcpStream;
+        use std::time::Duration;
+        let registry = llmms_obs::Registry::global();
+        let accept_sheds = || {
+            registry.snapshot().counter_value(
+                "http_shed_total",
+                &[("route", "accept"), ("reason", "queue")],
+            )
+        };
+        let server = Server::start_with(
             Arc::new(StubService::new()),
             "127.0.0.1:0",
             server::ServerConfig {
@@ -519,27 +529,56 @@ mod tests {
         )
         .unwrap();
         let addr = server.addr();
-        // Pin the only worker on a slow query…
-        let busy = std::thread::spawn(move || {
-            client::request(addr, "POST", "/api/query", Some(r#"{"question":"sleep"}"#)).unwrap()
-        });
-        std::thread::sleep(std::time::Duration::from_millis(100));
-        // …and park a second connection in the single queue slot.
-        let parked = std::net::TcpStream::connect(addr).unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        // The third connection finds the queue full, so the acceptor sheds
-        // it directly — no worker, no spawned thread, not even a request
-        // read. The client sees 503 without sending a byte.
-        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        let post = |stream: &mut TcpStream, body: &str| {
+            write!(
+                stream,
+                "POST /api/query HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            )
+            .unwrap();
+        };
+        // Pin the only worker on a slow streaming query: its SSE header goes
+        // out before the 300 ms orchestration starts, so once it arrives the
+        // worker is busy and the queue is empty.
+        let mut pinned = TcpStream::connect(addr).unwrap();
+        post(&mut pinned, r#"{"question":"sleep","stream":true}"#);
+        let mut status_line = [0u8; 12];
+        pinned.read_exact(&mut status_line).unwrap();
+        assert_eq!(&status_line, b"HTTP/1.1 200");
+        // Open two connections while the queue is still empty…
+        let mut queued = TcpStream::connect(addr).unwrap();
+        let mut shed = TcpStream::connect(addr).unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        // …let the first one's request take the single queue slot…
+        post(&mut queued, r#"{"question":"hi"}"#);
+        std::thread::sleep(Duration::from_millis(50));
+        // …so the second one's request is answered 503 by the loop itself.
+        post(&mut shed, r#"{"question":"hi"}"#);
         let mut response = String::new();
-        stream.read_to_string(&mut response).unwrap();
+        shed.read_to_string(&mut response).unwrap();
         assert!(
             response.starts_with("HTTP/1.1 503 Service Unavailable"),
             "{response}"
         );
         assert!(response.contains("Retry-After: 1"), "{response}");
-        drop(parked);
-        assert_eq!(busy.join().unwrap().status, 200);
+        // A fresh connection is shed at accept, before it sends a byte.
+        let before = accept_sheds();
+        let mut fresh = TcpStream::connect(addr).unwrap();
+        let mut response = String::new();
+        fresh.read_to_string(&mut response).unwrap();
+        assert!(
+            response.starts_with("HTTP/1.1 503 Service Unavailable"),
+            "{response}"
+        );
+        assert!(response.contains("Retry-After: 1"), "{response}");
+        assert!(accept_sheds() > before, "accept shed not counted");
+        // Once the pinned stream ends, the queued request is served.
+        let mut response = String::new();
+        pinned.read_to_string(&mut response).unwrap();
+        assert!(response.contains("event: result"), "{response}");
+        let mut response = String::new();
+        queued.read_to_string(&mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
         server.shutdown();
     }
 
@@ -848,38 +887,6 @@ mod tests {
         server.shutdown();
     }
 
-    /// The blocking transport must keep working on Linux, where
-    /// `start_with` never picks it (it is what every other platform runs,
-    /// and the bench baseline).
-    #[test]
-    fn thread_pool_transport_still_serves() {
-        let server = Server::start_blocking(
-            Arc::new(StubService::new()),
-            "127.0.0.1:0",
-            server::ServerConfig::default(),
-        )
-        .unwrap();
-        let r = client::request(server.addr(), "GET", "/healthz", None).unwrap();
-        assert_eq!(r.status, 200);
-        let r = client::request(
-            server.addr(),
-            "POST",
-            "/api/query",
-            Some(r#"{"question":"hi"}"#),
-        )
-        .unwrap();
-        assert_eq!(r.status, 200);
-        let events = client::sse_request(
-            server.addr(),
-            "/api/query",
-            r#"{"question":"hi","stream":true}"#,
-        )
-        .unwrap();
-        assert_eq!(events.last().unwrap().0, "result");
-        server.shutdown();
-    }
-
-    #[cfg(target_os = "linux")]
     mod edge_transport {
         use super::*;
         use std::io::{Read, Write};
@@ -1020,6 +1027,34 @@ mod tests {
                 "{response}"
             );
             assert!(response.contains("content-length"), "{response}");
+            server.shutdown();
+        }
+
+        /// A request framed by both `Content-Length` and `Transfer-Encoding`
+        /// is refused whole: its chunk data (here a complete `GET /healthz`)
+        /// must never be parsed as a second request on the connection.
+        #[test]
+        fn transfer_encoding_is_501_and_smuggles_nothing() {
+            let server = start_edge(server::ServerConfig::default());
+            let mut stream = TcpStream::connect(server.addr()).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            stream
+                .write_all(
+                    b"POST /api/ingest HTTP/1.1\r\nHost: t\r\nContent-Length: 4\r\n\
+                      Transfer-Encoding: chunked\r\n\r\n\
+                      19\r\nGET /healthz HTTP/1.1\r\n\r\n\r\n0\r\n\r\n",
+                )
+                .unwrap();
+            let mut response = String::new();
+            stream.read_to_string(&mut response).unwrap();
+            assert!(
+                response.starts_with("HTTP/1.1 501 Not Implemented"),
+                "{response}"
+            );
+            assert!(response.contains("Connection: close\r\n"), "{response}");
+            assert_eq!(response.matches("HTTP/1.1 ").count(), 1, "{response}");
             server.shutdown();
         }
 

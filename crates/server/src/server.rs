@@ -1,41 +1,32 @@
-//! HTTP serving: route dispatch, overload bookkeeping, and the two
-//! transports that feed it.
+//! HTTP serving: route dispatch and overload bookkeeping behind the epoll
+//! edge.
 //!
-//! Everything from "a parsed [`Request`] plus somewhere to write the
-//! response" down — tracing, shedding, admission, dispatch, metrics — is
-//! transport-agnostic (`process_parsed`, generic over
-//! [`ResponseSink`]). The platform picks the transport that feeds it:
-//!
-//! * On Linux, [`Server::start_with`] serves through the nonblocking epoll
-//!   edge in `crate::edge`: readiness-driven connection state machines,
-//!   HTTP keep-alive, and SSE frames drained from a bounded per-connection
-//!   outbox, so thousands of idle or streaming connections cost no
-//!   threads.
-//! * Everywhere else it serves through [`Server::start_blocking`] — a
-//!   blocking accept loop with a bounded worker pool. It compiles on every
-//!   platform so the Linux test suite can pin the code the other platforms
-//!   run.
+//! [`Server::start_with`] binds the listener and starts the nonblocking
+//! event loop in `crate::edge`: readiness-driven connection state
+//! machines, HTTP keep-alive, and SSE frames drained from a bounded
+//! per-connection outbox, so thousands of idle or streaming connections
+//! cost no threads. Everything from "a parsed [`Request`] plus the
+//! connection's `OutboxWriter`" down — tracing, shedding, admission,
+//! dispatch, metrics — lives here, in `process_parsed` and the route
+//! handlers it calls on the edge's dispatch workers.
 
 use crate::admission::{AdmissionConfig, AdmissionController, DEFAULT_TENANT};
-use crate::http::{
-    read_request, write_response, write_response_with, write_sse_header, Method, Request,
-    ResponseSink,
-};
+use crate::edge::OutboxWriter;
+use crate::http::{write_response, write_response_with, write_sse_header, Method, Request};
 use crate::service::{AppService, GenerateRequest, QueryContext, QueryRequest, ServiceError};
 use crate::sse;
-use crossbeam_channel::TrySendError;
 use llmms_core::{BrownoutConfig, BrownoutController, PressureInputs};
 use llmms_obs::{SpanRecord, SpanStatus, TraceData, TraceId, TraceStore, TraceStoreConfig, Tracer};
-use parking_lot::Mutex;
 use serde_json::{json, Value};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::Write;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Knobs of the event-driven edge. They are edge-only: the blocking
-/// transport, the path off Linux, ignores every one of them.
+/// Knobs of the event-driven edge: connection cap, timeouts, keep-alive
+/// reuse and per-connection buffering.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EdgeConfig {
     /// Maximum simultaneously open connections; at the cap, fresh accepts
@@ -82,16 +73,16 @@ pub struct ServerConfig {
     /// Maximum concurrently handled requests before new ones are shed with
     /// 503 + `Retry-After` (health and metrics probes are exempt).
     pub max_in_flight: usize,
-    /// Size of the dispatch worker pool. Behind the blocking transport
-    /// these threads own connections end to end; behind the edge they run
-    /// request handling and SSE orchestration for requests the event loop
-    /// has already parsed, so connection count is decoupled from thread
-    /// count.
+    /// Size of the dispatch worker pool. The workers run request handling
+    /// and SSE orchestration for requests the event loop has already
+    /// parsed; they never own a socket, so connection count is decoupled
+    /// from thread count.
     pub worker_threads: usize,
-    /// Capacity of the handoff queue in front of the worker pool. When it
-    /// is full the transport answers 503 + `Retry-After` itself — at the
-    /// acceptor (blocking pool) or at request parse (edge) — so overload is
-    /// shed before any dispatch resources exist.
+    /// Capacity of the dispatch queue in front of the worker pool. While it
+    /// is full the event loop answers 503 + `Retry-After` itself — to a
+    /// fresh connection at accept, and to a parsed request on a live
+    /// connection — so overload is shed before any dispatch resources
+    /// exist.
     pub queue_depth: usize,
     /// Per-tenant admission quotas (`X-LLMMS-Tenant` header picks the
     /// bucket). Over-quota requests are answered 429 with a computed
@@ -152,7 +143,7 @@ pub(crate) struct OverloadState {
     brownout: BrownoutController,
     /// Requests currently being handled by workers.
     pub(crate) in_flight: AtomicUsize,
-    /// Connections/requests sitting in the handoff queue.
+    /// Parsed requests sitting in the dispatch queue.
     pub(crate) queued: AtomicUsize,
     queue_capacity: usize,
     max_in_flight: usize,
@@ -210,47 +201,16 @@ impl OverloadState {
     }
 }
 
-/// What either transport starts from: the bound listener and the state the
-/// request path shares.
-struct Bound {
-    listener: TcpListener,
-    local: SocketAddr,
-    config: Arc<ServerConfig>,
-    overload: Arc<OverloadState>,
-    stop: Arc<AtomicBool>,
-}
-
-impl Bound {
-    fn new(addr: &str, config: ServerConfig) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        TraceStore::global().configure(TraceStoreConfig {
-            capacity: config.trace_buffer_len,
-            sample_rate: config.trace_sample_rate,
-            slow_threshold_ms: config.trace_slow_threshold_ms,
-        });
-        Ok(Self {
-            listener,
-            local,
-            overload: Arc::new(OverloadState::new(&config)),
-            config: Arc::new(config),
-            stop: Arc::new(AtomicBool::new(false)),
-        })
-    }
-}
-
 /// A running API server. Dropping the handle without calling
-/// [`Server::shutdown`] leaves the listener thread running for the process
+/// [`Server::shutdown`] leaves the event loop running for the process
 /// lifetime (matching a daemonized deployment); tests call `shutdown`.
 pub struct Server {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    event_loop: JoinHandle<()>,
     workers: Vec<JoinHandle<()>>,
-    /// Wakes the edge event loop so it can observe `stop`; `None` under
-    /// the blocking transport (a connect nudge unblocks that acceptor).
-    #[cfg(target_os = "linux")]
-    edge_waker: Option<Arc<crate::edge::poller::Waker>>,
+    /// Wakes the event loop so it can observe `stop`.
+    edge_waker: Arc<crate::edge::poller::Waker>,
 }
 
 impl Server {
@@ -259,130 +219,44 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Bind failures.
+    /// Bind failures, or the event loop's epoll/eventfd setup failing.
     pub fn start<S: AppService>(service: Arc<S>, addr: &str) -> std::io::Result<Server> {
         Server::start_with(service, addr, ServerConfig::default())
     }
 
-    /// [`Server::start`] with explicit [`ServerConfig`]: the epoll edge on
-    /// Linux, [`Server::start_blocking`] elsewhere.
+    /// [`Server::start`] with explicit [`ServerConfig`]: bind, then serve
+    /// through the epoll event loop in `crate::edge`.
     ///
     /// # Errors
     ///
-    /// Bind failures.
+    /// Bind failures, or the event loop's epoll/eventfd setup failing.
     pub fn start_with<S: AppService>(
         service: Arc<S>,
         addr: &str,
         config: ServerConfig,
     ) -> std::io::Result<Server> {
-        #[cfg(target_os = "linux")]
-        return Server::start_edge(service, addr, config);
-        #[cfg(not(target_os = "linux"))]
-        return Server::start_blocking(service, addr, config);
-    }
-
-    /// Serve through the epoll event loop in `crate::edge`.
-    #[cfg(target_os = "linux")]
-    fn start_edge<S: AppService>(
-        service: Arc<S>,
-        addr: &str,
-        config: ServerConfig,
-    ) -> std::io::Result<Server> {
-        let bound = Bound::new(addr, config)?;
+        let listener = TcpListener::bind(addr)?;
+        let addr = listener.local_addr()?;
+        TraceStore::global().configure(TraceStoreConfig {
+            capacity: config.trace_buffer_len,
+            sample_rate: config.trace_sample_rate,
+            slow_threshold_ms: config.trace_slow_threshold_ms,
+        });
+        let overload = Arc::new(OverloadState::new(&config));
+        let stop = Arc::new(AtomicBool::new(false));
         let parts = crate::edge::start(
-            bound.listener,
+            listener,
             service,
-            bound.config,
-            bound.overload,
-            Arc::clone(&bound.stop),
+            Arc::new(config),
+            overload,
+            Arc::clone(&stop),
         )?;
         Ok(Server {
-            addr: bound.local,
-            stop: bound.stop,
-            handle: Some(parts.event_loop),
+            addr,
+            stop,
+            event_loop: parts.event_loop,
             workers: parts.workers,
-            edge_waker: Some(parts.waker),
-        })
-    }
-
-    /// Serve through the blocking transport, the only one off Linux:
-    /// accepted connections are pushed onto a bounded queue drained by
-    /// [`ServerConfig::worker_threads`] long-lived workers. A full queue is
-    /// answered 503 by the acceptor itself, so overload never translates
-    /// into unbounded thread creation. Each worker owns its connection end
-    /// to end, and [`EdgeConfig`] does not apply.
-    ///
-    /// # Errors
-    ///
-    /// Bind failures.
-    pub fn start_blocking<S: AppService>(
-        service: Arc<S>,
-        addr: &str,
-        config: ServerConfig,
-    ) -> std::io::Result<Server> {
-        let Bound {
-            listener,
-            local,
-            config,
-            overload,
-            stop,
-        } = Bound::new(addr, config)?;
-        let stop_flag = Arc::clone(&stop);
-        let (tx, rx) = crossbeam_channel::bounded::<TcpStream>(config.queue_depth.max(1));
-        // The vendored Receiver is single-consumer; workers share it behind
-        // a mutex, holding the lock only for the dequeue itself.
-        let rx = Arc::new(Mutex::new(rx));
-        let mut workers = Vec::with_capacity(config.worker_threads.max(1));
-        for i in 0..config.worker_threads.max(1) {
-            let rx = Arc::clone(&rx);
-            let service = Arc::clone(&service);
-            let config = Arc::clone(&config);
-            let overload = Arc::clone(&overload);
-            let worker = std::thread::Builder::new()
-                .name(format!("llmms-http-{i}"))
-                .spawn(move || loop {
-                    let next = rx.lock().recv();
-                    let Ok(mut stream) = next else {
-                        break; // acceptor gone and queue drained
-                    };
-                    overload.queued.fetch_sub(1, Ordering::SeqCst);
-                    // The guard's own post-increment count is the occupancy
-                    // the shed decision uses: deterministic (no load racing
-                    // other arrivals) and inclusive of this request.
-                    let (_guard, occupancy) = InFlightGuard::enter(&overload.in_flight);
-                    handle_connection(&*service, &config, &overload, &mut stream, occupancy);
-                })
-                .expect("spawn http worker");
-            workers.push(worker);
-        }
-        let acceptor_overload = Arc::clone(&overload);
-        let handle = std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                if stop_flag.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                // Count the queue slot before the handoff so a racing
-                // worker's decrement never underflows.
-                acceptor_overload.queued.fetch_add(1, Ordering::SeqCst);
-                match tx.try_send(stream) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(stream)) => {
-                        acceptor_overload.queued.fetch_sub(1, Ordering::SeqCst);
-                        shed_at_acceptor(stream, &acceptor_overload);
-                    }
-                    Err(TrySendError::Disconnected(_)) => break,
-                }
-            }
-            // `tx` drops here; workers drain the queue and exit.
-        });
-        Ok(Server {
-            addr: local,
-            stop,
-            handle: Some(handle),
-            workers,
-            #[cfg(target_os = "linux")]
-            edge_waker: None,
+            edge_waker: parts.waker,
         })
     }
 
@@ -391,53 +265,16 @@ impl Server {
         self.addr
     }
 
-    /// Stop accepting connections, then join the transport threads.
-    pub fn shutdown(mut self) {
+    /// Stop accepting connections, then join the event loop and the
+    /// dispatch workers.
+    pub fn shutdown(self) {
         self.stop.store(true, Ordering::SeqCst);
-        #[cfg(target_os = "linux")]
-        let nudge = match &self.edge_waker {
-            Some(waker) => {
-                waker.wake();
-                false
-            }
-            None => true,
-        };
-        #[cfg(not(target_os = "linux"))]
-        let nudge = true;
-        if nudge {
-            // Nudge the blocking accept with one last connection.
-            let _ = TcpStream::connect(self.addr);
-        }
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-        for w in self.workers.drain(..) {
+        self.edge_waker.wake();
+        let _ = self.event_loop.join();
+        for w in self.workers {
             let _ = w.join();
         }
     }
-}
-
-/// Queue-full shed, answered on the acceptor thread before any worker (let
-/// alone a fresh thread) is committed to the connection. The short write
-/// timeout keeps a slow client from stalling the accept loop.
-fn shed_at_acceptor(mut stream: TcpStream, overload: &OverloadState) {
-    let registry = llmms_obs::Registry::global();
-    if registry.enabled() {
-        registry
-            .counter_with("http_shed_total", &[("route", "acceptor")])
-            .metric
-            .inc();
-    }
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-    let retry_after = overload.retry_after_secs().to_string();
-    let body = json!({ "error": "server overloaded, retry shortly" }).to_string();
-    let _ = write_response_with(
-        &mut stream,
-        503,
-        "application/json",
-        &[("Retry-After", retry_after.as_str())],
-        body.as_bytes(),
-    );
 }
 
 /// RAII in-flight request counter: increments on entry, decrements on
@@ -501,9 +338,9 @@ pub(crate) struct SseOutcome {
 /// order: 504-fast (one estimate comparison) before the token-bucket check
 /// (one map entry) before any orchestration work.
 #[allow(clippy::too_many_lines)]
-fn admit_and_dispatch<S: AppService, W: ResponseSink + ?Sized>(
+fn admit_and_dispatch<S: AppService>(
     service: &S,
-    sink: &mut W,
+    sink: &mut OutboxWriter,
     request: &Request,
     route: &'static str,
     overload: &OverloadState,
@@ -624,17 +461,17 @@ fn admit_and_dispatch<S: AppService, W: ResponseSink + ?Sized>(
     status
 }
 
-/// Serve one already-parsed request into `sink`: span-tree root, in-flight
-/// shed, admission, dispatch, tail sampling, and the request metrics tail.
-/// The transport-agnostic core shared by the thread-pool connection
-/// handler and the edge dispatch workers; returns the written status.
+/// Serve one request the event loop has parsed into `sink`, the
+/// connection's outbox: span-tree root, in-flight shed, admission,
+/// dispatch, tail sampling, and the request metrics tail. Runs on an edge
+/// dispatch worker; returns the written status.
 ///
 /// `occupancy` is the caller's post-increment in-flight count (from
 /// [`InFlightGuard::enter`]), inclusive of this request.
-pub(crate) fn process_parsed<S: AppService, W: ResponseSink + ?Sized>(
+pub(crate) fn process_parsed<S: AppService>(
     service: &S,
     overload: &OverloadState,
-    sink: &mut W,
+    sink: &mut OutboxWriter,
     request: &Request,
     occupancy: usize,
     start: Instant,
@@ -742,38 +579,6 @@ pub(crate) fn record_request_tail(
     }
 }
 
-fn handle_connection<S: AppService>(
-    service: &S,
-    config: &ServerConfig,
-    overload: &OverloadState,
-    stream: &mut TcpStream,
-    occupancy: usize,
-) {
-    let registry = llmms_obs::Registry::global();
-    let observing = registry.enabled();
-    if observing {
-        registry.gauge("http_in_flight").metric.inc();
-    }
-    let start = std::time::Instant::now();
-
-    // Slowloris guard: a client gets `read_timeout` to deliver the request.
-    let _ = stream.set_read_timeout(Some(config.read_timeout));
-
-    match read_request(stream) {
-        Ok(request) => {
-            process_parsed(service, overload, stream, &request, occupancy, start);
-        }
-        Err(e) => {
-            let status = e.status();
-            respond_json(stream, status, &json!({ "error": e.to_string() }));
-            record_request_tail("bad_request", status, start, None);
-        }
-    }
-    if observing {
-        registry.gauge("http_in_flight").metric.dec();
-    }
-}
-
 /// Normalize a request path to a bounded label set: parameterized routes
 /// collapse (`/api/sessions/{id}` → `/api/sessions/:id`) and unknown paths
 /// share one label so arbitrary clients cannot explode metric cardinality.
@@ -799,9 +604,9 @@ pub(crate) fn route_label(path: &str) -> &'static str {
 /// Serve one request; returns the HTTP status that was written, so the
 /// caller can label `http_requests_total{route,status}` and close out the
 /// request span.
-fn dispatch<S: AppService, W: ResponseSink + ?Sized>(
+fn dispatch<S: AppService>(
     service: &S,
-    sink: &mut W,
+    sink: &mut OutboxWriter,
     request: &Request,
     ctx: &QueryContext,
     sse: &mut Option<SseOutcome>,
@@ -857,7 +662,7 @@ fn dispatch<S: AppService, W: ResponseSink + ?Sized>(
 
 /// `GET /debug/traces` — index of retained traces, newest first, without
 /// span bodies.
-fn handle_trace_index<W: ResponseSink + ?Sized>(sink: &mut W) -> u16 {
+fn handle_trace_index(sink: &mut OutboxWriter) -> u16 {
     let store = TraceStore::global();
     let rows: Vec<Value> = store
         .index()
@@ -894,7 +699,7 @@ fn handle_trace_index<W: ResponseSink + ?Sized>(sink: &mut W) -> u16 {
 /// `GET /debug/traces/{id}` — one retained trace as a nested span tree, or
 /// as Chrome trace-event JSON (loadable in `chrome://tracing` / Perfetto)
 /// with `?format=chrome`.
-fn handle_trace_get<W: ResponseSink + ?Sized>(sink: &mut W, request: &Request) -> u16 {
+fn handle_trace_get(sink: &mut OutboxWriter, request: &Request) -> u16 {
     let hex = &request.path["/debug/traces/".len()..];
     let Some(id) = TraceId::from_hex(hex) else {
         return respond_json(sink, 400, &json!({ "error": "bad trace id" }));
@@ -959,11 +764,7 @@ fn span_tree(spans: &[SpanRecord], parent: u64) -> Vec<Value> {
         .collect()
 }
 
-fn handle_configure<S: AppService, W: ResponseSink + ?Sized>(
-    service: &S,
-    sink: &mut W,
-    request: &Request,
-) -> u16 {
+fn handle_configure<S: AppService>(service: &S, sink: &mut OutboxWriter, request: &Request) -> u16 {
     let body: Value = match serde_json::from_str(&request.body_str()) {
         Ok(v) => v,
         Err(e) => return respond_json(sink, 400, &json!({ "error": format!("bad json: {e}") })),
@@ -979,11 +780,7 @@ fn handle_configure<S: AppService, W: ResponseSink + ?Sized>(
     }
 }
 
-fn handle_generate<S: AppService, W: ResponseSink + ?Sized>(
-    service: &S,
-    sink: &mut W,
-    request: &Request,
-) -> u16 {
+fn handle_generate<S: AppService>(service: &S, sink: &mut OutboxWriter, request: &Request) -> u16 {
     let req: GenerateRequest = match serde_json::from_str(&request.body_str()) {
         Ok(r) => r,
         Err(e) => return respond_json(sink, 400, &json!({ "error": format!("bad json: {e}") })),
@@ -998,11 +795,7 @@ fn handle_generate<S: AppService, W: ResponseSink + ?Sized>(
     }
 }
 
-fn handle_ingest<S: AppService, W: ResponseSink + ?Sized>(
-    service: &S,
-    sink: &mut W,
-    request: &Request,
-) -> u16 {
+fn handle_ingest<S: AppService>(service: &S, sink: &mut OutboxWriter, request: &Request) -> u16 {
     let body: Value = match serde_json::from_str(&request.body_str()) {
         Ok(v) => v,
         Err(e) => return respond_json(sink, 400, &json!({ "error": format!("bad json: {e}") })),
@@ -1023,9 +816,9 @@ fn handle_ingest<S: AppService, W: ResponseSink + ?Sized>(
     }
 }
 
-fn handle_query<S: AppService, W: ResponseSink + ?Sized>(
+fn handle_query<S: AppService>(
     service: &S,
-    sink: &mut W,
+    sink: &mut OutboxWriter,
     request: &Request,
     ctx: &QueryContext,
     sse: &mut Option<SseOutcome>,
@@ -1138,7 +931,7 @@ fn handle_query<S: AppService, W: ResponseSink + ?Sized>(
     200
 }
 
-fn respond_json<W: ResponseSink + ?Sized>(sink: &mut W, status: u16, body: &Value) -> u16 {
+fn respond_json(sink: &mut OutboxWriter, status: u16, body: &Value) -> u16 {
     let _ = write_response(
         sink,
         status,
