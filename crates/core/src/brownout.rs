@@ -31,9 +31,12 @@ pub const MAX_LEVEL: u8 = 3;
 
 /// Brownout thresholds and per-level degradation caps.
 ///
-/// Lives inside [`crate::OrchestratorConfig`] so the caps deploy with the
-/// rest of the orchestration policy; the server owns the controller and
-/// feeds it pressure.
+/// Two sides read it. The [`BrownoutController`] reads the thresholds
+/// (`enter_pressure`, `exit_pressure`, `min_dwell_ms`); the server owns one,
+/// built from `BrownoutConfig::default()`, and feeds it pressure. The
+/// orchestrator reads the caps (`level1_max_arms`, `level2_max_rounds`,
+/// `level3_token_budget`) from [`crate::OrchestratorConfig::brownout`], so
+/// they deploy with the rest of the orchestration policy.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BrownoutConfig {
     /// Pressure at or above which the controller steps one level deeper.

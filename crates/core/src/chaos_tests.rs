@@ -13,7 +13,7 @@ use crate::config::{MabConfig, OrchestratorConfig, OuaConfig, Strategy};
 use crate::error::OrchestratorError;
 use crate::events::OrchestrationEvent;
 use crate::hybrid::HybridConfig;
-use crate::orchestrator::Orchestrator;
+use crate::orchestrator::{Orchestrator, QueryOverrides};
 use crate::{RouterConfig, TaskIndex};
 use llmms_models::chaos::{ChaosModel, FaultKind};
 use llmms_models::{
@@ -928,7 +928,7 @@ fn every_strategy_reports_rounds_and_failures_alike() {
         let label = strategy.label();
         let o = orchestrator(strategy, 96, Some(5_000));
         let (tx, rx) = crossbeam_channel::unbounded();
-        let outcome = o.run_streaming(&models, QUESTION, tx);
+        let outcome = o.run_streaming_with(&models, QUESTION, tx, QueryOverrides::default());
         let events: Vec<OrchestrationEvent> = rx.iter().collect();
         for event in &events {
             if let OrchestrationEvent::ModelChunk { tokens, done, .. } = event {

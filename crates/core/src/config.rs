@@ -213,10 +213,6 @@ pub struct OrchestratorConfig {
     /// Record an [`crate::events::OrchestrationEvent`] trace in the result
     /// (the paper's "transparent orchestration logs" extension, §9.5).
     pub record_events: bool,
-    /// When set, every run appends its stamped event trace as JSON lines to
-    /// this file for offline replay (independent of `record_events`).
-    #[serde(default)]
-    pub trace_path: Option<String>,
     /// Transient-error retry / stall policy.
     #[serde(default)]
     pub retry: RetryConfig,
@@ -250,7 +246,6 @@ impl Default for OrchestratorConfig {
             temperature: 0.7,
             seed: 0,
             record_events: false,
-            trace_path: None,
             retry: RetryConfig::default(),
             breaker: BreakerConfig::default(),
             query_deadline_ms: None,
@@ -308,13 +303,6 @@ impl OrchestratorConfigBuilder {
     #[must_use]
     pub fn record_events(mut self, record: bool) -> Self {
         self.config.record_events = record;
-        self
-    }
-
-    /// Mirror stamped event traces to a JSON-lines file.
-    #[must_use]
-    pub fn trace_path(mut self, path: impl Into<String>) -> Self {
-        self.config.trace_path = Some(path.into());
         self
     }
 

@@ -4,10 +4,10 @@
 //! model-routing overlay (§7.3).
 //!
 //! Every recorded event carries a monotonic elapsed-time stamp relative to
-//! the start of the orchestration, and the recorder can mirror the stamped
-//! trace to a JSON-lines sink for offline replay.
+//! the start of the orchestration. A live [`EventSink`] additionally sees
+//! each event the moment it is emitted: the server's sink writes it to the
+//! client as an SSE frame on the thread running the orchestration.
 
-use std::io::Write;
 use std::time::Instant;
 
 use llmms_models::DoneReason;
@@ -93,28 +93,48 @@ pub struct TimedEvent {
     pub event: OrchestrationEvent,
 }
 
-/// Collects stamped events when enabled, optionally forwards each raw event
-/// to a live channel (the application layer's SSE feed), and optionally
-/// mirrors the stamped trace as JSON lines into a writer for offline
-/// replay. A fully disabled recorder is free.
-#[derive(Default)]
+/// Where a recorder forwards each event live, as it happens: the
+/// application layer's SSE feed, or a channel. The recorder hands over a
+/// borrow, so a sink that serializes the event on the spot copies nothing.
+pub trait EventSink {
+    /// Deliver `event`; `false` once the receiver is gone, after which the
+    /// recorder drops the sink and never calls it again.
+    fn send(&mut self, event: &OrchestrationEvent) -> bool;
+
+    /// This sink as the trait object a recorder holds. A sink that already
+    /// is one passes through, so handing a boxed sink down the
+    /// platform → orchestrator → recorder layers allocates once.
+    fn into_boxed(self) -> Box<dyn EventSink>
+    where
+        Self: Sized + 'static,
+    {
+        Box::new(self)
+    }
+}
+
+impl EventSink for crossbeam_channel::Sender<OrchestrationEvent> {
+    fn send(&mut self, event: &OrchestrationEvent) -> bool {
+        crossbeam_channel::Sender::send(self, event.clone()).is_ok()
+    }
+}
+
+impl EventSink for Box<dyn EventSink> {
+    fn send(&mut self, event: &OrchestrationEvent) -> bool {
+        (**self).send(event)
+    }
+
+    fn into_boxed(self) -> Box<dyn EventSink> {
+        self
+    }
+}
+
+/// Collects stamped events when enabled and optionally forwards each raw
+/// event to a live [`EventSink`]. A fully disabled recorder is free.
 pub struct EventRecorder {
     enabled: bool,
     start: Option<Instant>,
     events: Vec<TimedEvent>,
-    sink: Option<crossbeam_channel::Sender<OrchestrationEvent>>,
-    trace: Option<Box<dyn Write + Send>>,
-}
-
-impl std::fmt::Debug for EventRecorder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EventRecorder")
-            .field("enabled", &self.enabled)
-            .field("events", &self.events)
-            .field("sink", &self.sink.is_some())
-            .field("trace", &self.trace.is_some())
-            .finish()
-    }
+    sink: Option<Box<dyn EventSink>>,
 }
 
 impl EventRecorder {
@@ -125,47 +145,25 @@ impl EventRecorder {
             start: None,
             events: Vec::new(),
             sink: None,
-            trace: None,
         }
     }
 
-    /// A recorder that additionally streams every event into `sink` as it
-    /// happens (used by the server to forward chunks over SSE while the
-    /// orchestration is still running). On the first send failure (receiver
-    /// hung up) the sink is dropped, so later events skip the clone + send
-    /// entirely — a closed SSE connection must not slow down or abort the
-    /// query.
-    pub fn with_sink(enabled: bool, sink: crossbeam_channel::Sender<OrchestrationEvent>) -> Self {
+    /// A recorder that additionally hands every event to `sink` as it
+    /// happens (the server writes each one out as an SSE frame while the
+    /// orchestration is still running). On the first `false` the sink is
+    /// dropped, so later events skip it entirely — a closed SSE connection
+    /// must not slow down or abort the query.
+    pub fn with_sink(enabled: bool, sink: impl EventSink + 'static) -> Self {
         Self {
-            enabled,
-            start: None,
-            events: Vec::new(),
-            sink: Some(sink),
-            trace: None,
-        }
-    }
-
-    /// Additionally mirror every stamped event as one JSON line into
-    /// `trace` (the offline-replay trace sink). Failed writes drop the
-    /// event from the sink (the orchestration must not abort on a sick
-    /// disk) but are counted in `trace_events_dropped_total`.
-    pub fn with_trace(mut self, trace: Box<dyn Write + Send>) -> Self {
-        self.trace = Some(trace);
-        self
-    }
-
-    /// Count one event that failed to reach the trace sink.
-    fn note_trace_drop() {
-        let registry = llmms_obs::Registry::global();
-        if registry.enabled() {
-            registry.counter("trace_events_dropped_total").metric.inc();
+            sink: Some(sink.into_boxed()),
+            ..Self::new(enabled)
         }
     }
 
     /// Whether the next [`EventRecorder::emit`] would observe the event.
     #[inline]
     pub fn is_observing(&self) -> bool {
-        self.enabled || self.sink.is_some() || self.trace.is_some()
+        self.enabled || self.sink.is_some()
     }
 
     /// Microseconds since the first recorded event (the stamp the next
@@ -178,31 +176,15 @@ impl EventRecorder {
 
     /// Record `event` (no-op when disabled and no sink is attached).
     pub fn emit(&mut self, event: OrchestrationEvent) {
-        if let Some(sink) = &self.sink {
-            if sink.send(event.clone()).is_err() {
-                // Receiver hung up: drop the sink so subsequent events skip
-                // the clone and the failed send.
+        if let Some(sink) = &mut self.sink {
+            if !sink.send(&event) {
+                // Receiver gone: drop the sink so subsequent events skip it.
                 self.sink = None;
             }
         }
-        if self.enabled || self.trace.is_some() {
-            let timed = TimedEvent {
-                elapsed_us: self.stamp(),
-                event,
-            };
-            if let Some(trace) = &mut self.trace {
-                match serde_json::to_string(&timed) {
-                    Ok(line) => {
-                        if writeln!(trace, "{line}").is_err() {
-                            Self::note_trace_drop();
-                        }
-                    }
-                    Err(_) => Self::note_trace_drop(),
-                }
-            }
-            if self.enabled {
-                self.events.push(timed);
-            }
+        if self.enabled {
+            let elapsed_us = self.stamp();
+            self.events.push(TimedEvent { elapsed_us, event });
         }
     }
 
@@ -215,13 +197,8 @@ impl EventRecorder {
     }
 
     /// Consume the recorder, returning the stamped trace.
-    pub fn into_events(mut self) -> Vec<TimedEvent> {
-        if let Some(trace) = &mut self.trace {
-            if trace.flush().is_err() {
-                Self::note_trace_drop();
-            }
-        }
-        std::mem::take(&mut self.events)
+    pub fn into_events(self) -> Vec<TimedEvent> {
+        self.events
     }
 }
 
@@ -323,69 +300,5 @@ mod tests {
         // ...so the recorder stops observing entirely.
         assert!(!r.is_observing());
         r.emit_with(|| panic!("closure must not run once the sink is gone"));
-    }
-
-    #[test]
-    fn failed_trace_writes_are_counted_not_fatal() {
-        struct BrokenSink;
-        impl Write for BrokenSink {
-            fn write(&mut self, _buf: &[u8]) -> std::io::Result<usize> {
-                Err(std::io::Error::other("disk full"))
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Err(std::io::Error::other("disk full"))
-            }
-        }
-
-        let registry = llmms_obs::Registry::global();
-        let before = registry
-            .snapshot()
-            .counter_value("trace_events_dropped_total", &[]);
-        let mut r = EventRecorder::new(true).with_trace(Box::new(BrokenSink));
-        r.emit(OrchestrationEvent::RoundStarted { round: 1 });
-        r.emit(OrchestrationEvent::RoundStarted { round: 2 });
-        // In-memory recording is unaffected by the sick sink.
-        let events = r.into_events();
-        assert_eq!(events.len(), 2);
-        let after = registry
-            .snapshot()
-            .counter_value("trace_events_dropped_total", &[]);
-        // Two failed writes plus the failed flush.
-        assert_eq!(after - before, 3);
-    }
-
-    #[test]
-    fn trace_sink_writes_json_lines() {
-        use std::sync::{Arc, Mutex};
-
-        #[derive(Clone)]
-        struct Shared(Arc<Mutex<Vec<u8>>>);
-        impl Write for Shared {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
-        let buf = Shared(Arc::new(Mutex::new(Vec::new())));
-        let mut r = EventRecorder::new(true).with_trace(Box::new(buf.clone()));
-        r.emit(OrchestrationEvent::RoundStarted { round: 1 });
-        r.emit(OrchestrationEvent::Finished {
-            winner: "m".into(),
-            total_tokens: 2,
-        });
-        let events = r.into_events();
-        assert_eq!(events.len(), 2);
-
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        for (line, event) in lines.iter().zip(&events) {
-            let parsed: TimedEvent = serde_json::from_str(line).unwrap();
-            assert_eq!(&parsed, event);
-        }
     }
 }

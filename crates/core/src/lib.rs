@@ -83,7 +83,7 @@ pub use config::{
     Strategy,
 };
 pub use error::OrchestratorError;
-pub use events::{EventRecorder, OrchestrationEvent};
+pub use events::{EventRecorder, EventSink, OrchestrationEvent};
 pub use hybrid::HybridConfig;
 pub use llmms_exec::Priority as QueryPriority;
 pub use orchestrator::{Orchestrator, QueryOverrides};

@@ -4,7 +4,7 @@ use crate::config::{OrchestratorConfig, Strategy};
 use crate::deadline::{self, Deadline};
 use crate::engine::{self, Policy, Single};
 use crate::error::OrchestratorError;
-use crate::events::EventRecorder;
+use crate::events::{EventRecorder, EventSink};
 use crate::hybrid::Hybrid;
 use crate::mab::Mab;
 use crate::oua::Oua;
@@ -111,28 +111,14 @@ impl Orchestrator {
         prompt: &str,
         overrides: QueryOverrides,
     ) -> Result<OrchestrationResult, OrchestratorError> {
-        let recorder = self.attach_trace(EventRecorder::new(self.config.record_events));
+        let recorder = EventRecorder::new(self.config.record_events);
         self.run_inner(models, prompt, recorder, overrides)
     }
 
-    /// Like [`Orchestrator::run`], additionally forwarding every
-    /// [`crate::OrchestrationEvent`] into `sink` as it happens — the feed
-    /// the application layer turns into Server-Sent Events. A disconnected
-    /// receiver does not abort the run.
-    ///
-    /// # Errors
-    ///
-    /// As [`Orchestrator::run`].
-    pub fn run_streaming(
-        &self,
-        models: &[SharedModel],
-        prompt: &str,
-        sink: crossbeam_channel::Sender<crate::OrchestrationEvent>,
-    ) -> Result<OrchestrationResult, OrchestratorError> {
-        self.run_streaming_with(models, prompt, sink, QueryOverrides::default())
-    }
-
-    /// [`Orchestrator::run_streaming`] with per-query overrides.
+    /// Like [`Orchestrator::run_with`], additionally handing every
+    /// [`crate::OrchestrationEvent`] to `sink` as it happens, on the calling
+    /// thread — the feed the application layer turns into Server-Sent
+    /// Events. A sink whose receiver is gone does not abort the run.
     ///
     /// # Errors
     ///
@@ -141,10 +127,10 @@ impl Orchestrator {
         &self,
         models: &[SharedModel],
         prompt: &str,
-        sink: crossbeam_channel::Sender<crate::OrchestrationEvent>,
+        sink: impl EventSink + 'static,
         overrides: QueryOverrides,
     ) -> Result<OrchestrationResult, OrchestratorError> {
-        let recorder = self.attach_trace(EventRecorder::with_sink(self.config.record_events, sink));
+        let recorder = EventRecorder::with_sink(self.config.record_events, sink);
         self.run_inner(models, prompt, recorder, overrides)
     }
 
@@ -174,24 +160,6 @@ impl Orchestrator {
                 .min(cfg.brownout.level3_token_budget.max(1));
         }
         cfg
-    }
-
-    /// Attach the configured JSON-lines trace sink, if any. The file is
-    /// opened in append mode per run so traces from consecutive queries
-    /// accumulate; an unopenable path degrades to no trace rather than
-    /// failing the query.
-    fn attach_trace(&self, recorder: EventRecorder) -> EventRecorder {
-        let Some(path) = &self.config.trace_path else {
-            return recorder;
-        };
-        match std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-        {
-            Ok(file) => recorder.with_trace(Box::new(std::io::BufWriter::new(file))),
-            Err(_) => recorder,
-        }
     }
 
     /// Record the run's per-model aggregates into the global metrics
@@ -663,36 +631,6 @@ mod tests {
             r.events.last().unwrap().event,
             crate::events::OrchestrationEvent::Finished { .. }
         ));
-    }
-
-    #[test]
-    fn trace_path_appends_stamped_json_lines() {
-        let store = knowledge();
-        let pool = [skilled("a", 0.9, &store), skilled("b", 0.4, &store)];
-        let path = std::env::temp_dir().join(format!(
-            "llmms-trace-{}-{:?}.jsonl",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        let mut cfg = config(Strategy::Oua(OuaConfig::default()));
-        cfg.trace_path = Some(path.to_string_lossy().into_owned());
-        let o = Orchestrator::new(llmms_embed::default_embedder(), cfg);
-
-        let r = o.run(&pool, "What is the capital of France?").unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), r.events.len(), "one JSON line per event");
-        for (line, event) in lines.iter().zip(&r.events) {
-            let parsed: crate::events::TimedEvent = serde_json::from_str(line).unwrap();
-            assert_eq!(&parsed, event);
-        }
-
-        // A second run appends rather than truncates.
-        let r2 = o.run(&pool, "What is the capital of France?").unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text.lines().count(), r.events.len() + r2.events.len());
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

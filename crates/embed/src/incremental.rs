@@ -106,7 +106,7 @@ impl IncrementalAccumulator for ResponseAccumulator {
     }
 
     fn append(&mut self, chunk: &str) {
-        // Streaming twin of `llmms_tokenizer::normalize` with
+        // Streaming twin of `crate::tokenizer::normalize` with
         // `NormalizerConfig::case_insensitive()`: whitespace (checked first,
         // so whitespace control chars still delimit) ends the current word,
         // other control chars are stripped, everything else is lowercased

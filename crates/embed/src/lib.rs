@@ -29,9 +29,11 @@ pub mod embedder;
 pub mod embedding;
 pub mod hashed;
 pub mod incremental;
+mod normalize;
 pub mod quant;
 pub mod similarity;
 pub mod tfidf;
+pub mod tokenizer;
 
 pub use embedder::{CachedEmbedder, Embedder};
 pub use embedding::Embedding;

@@ -12,7 +12,7 @@
 
 use crate::embedder::Embedder;
 use crate::embedding::Embedding;
-use llmms_tokenizer::{normalize, NormalizerConfig};
+use crate::tokenizer::{normalize, NormalizerConfig};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 

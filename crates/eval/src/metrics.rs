@@ -1,8 +1,8 @@
 //! Evaluation metrics: token F1, Eq. 8.1 reward, and truthfulness accuracy.
 
 use crate::dataset::DatasetItem;
+use llmms_embed::tokenizer::words;
 use llmms_embed::{cosine_embeddings, Embedding, SharedEmbedder};
-use llmms_tokenizer::words;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 

@@ -575,11 +575,21 @@ mod tests {
 
     #[test]
     fn snapshot_reflects_registrations() {
-        let before = snapshot().active_queries;
+        // Sibling tests register queries concurrently, so the exact count
+        // is taken over this test's own tenant only.
+        let count = || {
+            pool()
+                .state
+                .lock()
+                .unwrap()
+                .active_queries_of("snap-tenant")
+        };
+        let before = count();
         let h = QueryHandle::register("snap-tenant", Priority::Normal, None);
-        assert_eq!(snapshot().active_queries, before + 1);
+        assert_eq!(count(), before + 1);
+        assert!(snapshot().active_queries >= 1);
         drop(h);
-        assert_eq!(snapshot().active_queries, before);
+        assert_eq!(count(), before);
     }
 
     #[test]

@@ -170,6 +170,15 @@ impl<T> SchedCore<T> {
         self.queries.len()
     }
 
+    /// Registered queries of `tenant`.
+    #[cfg(test)]
+    pub(crate) fn active_queries_of(&self, tenant: &str) -> usize {
+        self.queries
+            .values()
+            .filter(|q| &*q.tenant == tenant)
+            .count()
+    }
+
     /// Total jobs dispatched over the core's lifetime.
     pub fn dispatched(&self) -> u64 {
         self.dispatched

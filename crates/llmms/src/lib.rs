@@ -11,7 +11,7 @@
 //! | [`vectordb`] | `llmms-vectordb` | embedded vector database (ChromaDB substitute) |
 //! | [`rag`] | `llmms-rag` | retrieval-augmented generation pipeline |
 //! | [`session`] | `llmms-session` | sessions + hierarchical summarization |
-//! | [`tokenizer`] | `llmms-tokenizer` | text normalization and F1 word tokens |
+//! | [`tokenizer`] | `llmms-embed` | text normalization and F1 word tokens |
 //! | [`eval`] | `llmms-eval` | TruthfulQA-style benchmark + §8 harness |
 //! | [`server`] | `llmms-server` | HTTP/SSE application layer |
 //!
@@ -29,6 +29,7 @@
 
 pub use llmms_core as core;
 pub use llmms_embed as embed;
+pub use llmms_embed::tokenizer;
 pub use llmms_eval as eval;
 pub use llmms_exec as exec;
 pub use llmms_models as models;
@@ -36,11 +37,12 @@ pub use llmms_obs as obs;
 pub use llmms_rag as rag;
 pub use llmms_server as server;
 pub use llmms_session as session;
-pub use llmms_tokenizer as tokenizer;
 pub use llmms_vectordb as vectordb;
 
-/// Re-export of the channel crate used by the streaming APIs
-/// ([`Platform::ask_streaming`], `Orchestrator::run_streaming`).
+/// Re-export of the channel crate: its `Sender<OrchestrationEvent>` is an
+/// [`core::EventSink`], so a caller of the streaming APIs
+/// ([`Platform::ask_streaming`], `Orchestrator::run_streaming_with`) can
+/// collect the events on another thread.
 pub use crossbeam_channel;
 
 pub mod nlconfig;

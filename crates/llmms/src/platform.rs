@@ -3,7 +3,7 @@
 //! composes them (hardware → storage → computation → application).
 
 use llmms_core::{
-    OrchestrationResult, Orchestrator, OrchestratorConfig, OrchestratorError, Strategy,
+    EventSink, OrchestrationResult, Orchestrator, OrchestratorConfig, OrchestratorError, Strategy,
 };
 use llmms_embed::SharedEmbedder;
 use llmms_models::{KnowledgeEntry, KnowledgeStore, ModelError, ModelRegistry, SharedModel};
@@ -329,8 +329,9 @@ impl Platform {
         self.ask_inner(question, options, None)
     }
 
-    /// Like [`Platform::ask_with`], forwarding live orchestration events
-    /// into `sink` (the server's SSE feed).
+    /// Like [`Platform::ask_with`], handing live orchestration events to
+    /// `sink` as they happen, on the calling thread (the server's SSE
+    /// feed).
     ///
     /// # Errors
     ///
@@ -339,16 +340,16 @@ impl Platform {
         &self,
         question: &str,
         options: &AskOptions,
-        sink: crossbeam_channel::Sender<llmms_core::OrchestrationEvent>,
+        sink: impl EventSink + 'static,
     ) -> Result<OrchestrationResult, PlatformError> {
-        self.ask_inner(question, options, Some(sink))
+        self.ask_inner(question, options, Some(sink.into_boxed()))
     }
 
     fn ask_inner(
         &self,
         question: &str,
         options: &AskOptions,
-        sink: Option<crossbeam_channel::Sender<llmms_core::OrchestrationEvent>>,
+        sink: Option<Box<dyn EventSink>>,
     ) -> Result<OrchestrationResult, PlatformError> {
         // Register this query with the cross-query scheduler before
         // retrieval so segment-search and embed jobs are billed to the

@@ -2,8 +2,7 @@
 //! that puts the assembled platform behind the HTTP application layer.
 
 use crate::platform::{AskOptions, Platform, PlatformError};
-use crossbeam_channel::Sender;
-use llmms_core::{OrchestrationEvent, OrchestrationResult, OrchestratorError, Strategy};
+use llmms_core::{EventSink, OrchestrationResult, OrchestratorError, Strategy};
 use llmms_models::{ModelInfo, UtilizationReport};
 use llmms_server::{
     AppService, GenerateRequest, GenerateResponse, QueryContext, QueryRequest, ServiceError,
@@ -32,7 +31,7 @@ impl AppService for Platform {
         &self,
         request: &QueryRequest,
         ctx: &QueryContext,
-        sink: Option<Sender<OrchestrationEvent>>,
+        sink: Option<Box<dyn EventSink>>,
     ) -> Result<OrchestrationResult, ServiceError> {
         let options = AskOptions {
             session_id: request.session_id.clone(),

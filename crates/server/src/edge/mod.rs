@@ -87,14 +87,21 @@ struct Job {
 /// chunk lands, so even pushes larger than the buffer stream through.
 /// Response writers consult [`OutboxWriter::keep_alive`], so the
 /// `Connection` header always matches what the loop will do afterwards.
+/// A clone writes into the same outbox.
+#[derive(Clone)]
 pub(crate) struct OutboxWriter {
     outbox: Arc<Outbox>,
     keep_alive: bool,
     stall: std::time::Duration,
+    /// The response is an SSE stream (see [`OutboxWriter::mark_streaming`]).
+    streaming: bool,
+    /// Some response bytes were handed to the outbox.
+    written: bool,
 }
 
 impl Write for OutboxWriter {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.written |= !buf.is_empty();
         self.outbox.push(buf, self.stall).map_err(|e| match e {
             OutboxError::Closed => {
                 io::Error::new(io::ErrorKind::BrokenPipe, "edge connection closed")
@@ -121,6 +128,23 @@ impl OutboxWriter {
     /// Called before an SSE header goes out: the stream has no content
     /// length, so the connection must close when it ends.
     pub(crate) fn mark_streaming(&mut self) {
+        self.keep_alive = false;
+        self.streaming = true;
+    }
+
+    /// Whether [`OutboxWriter::mark_streaming`] was called.
+    pub(crate) fn is_streaming(&self) -> bool {
+        self.streaming
+    }
+
+    /// Whether any response bytes were written through this writer.
+    pub(crate) fn has_written(&self) -> bool {
+        self.written
+    }
+
+    /// Close the connection once this response drains, whatever the
+    /// request asked for.
+    pub(crate) fn close_after(&mut self) {
         self.keep_alive = false;
     }
 }
@@ -216,6 +240,8 @@ fn dispatch_worker<S: AppService>(
             outbox: Arc::clone(&job.outbox),
             keep_alive: job.keep_alive,
             stall: config.edge.write_stall_timeout,
+            streaming: false,
+            written: false,
         };
         process_parsed(
             service,

@@ -47,8 +47,7 @@ pub use service::{
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam_channel::Sender;
-    use llmms_core::{ModelOutcome, OrchestrationEvent, OrchestrationResult};
+    use llmms_core::{EventSink, ModelOutcome, OrchestrationEvent, OrchestrationResult};
     use llmms_models::{DoneReason, ModelInfo, UtilizationReport};
     use parking_lot::Mutex;
     use serde_json::json;
@@ -72,9 +71,10 @@ mod tests {
             &self,
             request: &QueryRequest,
             ctx: &QueryContext,
-            sink: Option<Sender<OrchestrationEvent>>,
+            mut sink: Option<Box<dyn EventSink>>,
         ) -> Result<OrchestrationResult, ServiceError> {
             match request.question.as_str() {
+                "panic" => panic!("stub handler panicked"),
                 "fail" => return Err(ServiceError::bad_request("stub failure")),
                 "all-models-down" => {
                     return Err(ServiceError::bad_gateway("every candidate model failed"))
@@ -83,12 +83,12 @@ mod tests {
                 "sleep" => std::thread::sleep(std::time::Duration::from_millis(300)),
                 _ => {}
             }
-            if let (Some(sink), "hold") = (&sink, request.question.as_str()) {
+            if let (Some(sink), "hold") = (&mut sink, request.question.as_str()) {
                 // 32 KiB of chunks: more than clamped kernel buffers on
                 // both ends swallow, so a client that stops reading leaves
                 // the rest of its stream parked on the server.
                 for _ in 0..16 {
-                    let _ = sink.send(OrchestrationEvent::ModelChunk {
+                    let _ = sink.send(&OrchestrationEvent::ModelChunk {
                         model: "stub".into(),
                         text: "x".repeat(2 * 1024),
                         tokens: 1,
@@ -96,21 +96,26 @@ mod tests {
                     });
                 }
             }
-            if let Some(sink) = sink {
-                let _ = sink.send(OrchestrationEvent::RoundStarted { round: 1 });
-                let _ = sink.send(OrchestrationEvent::ModelChunk {
+            if let Some(sink) = &mut sink {
+                let _ = sink.send(&OrchestrationEvent::RoundStarted { round: 1 });
+                let _ = sink.send(&OrchestrationEvent::ModelChunk {
                     model: "stub".into(),
                     text: "hello".into(),
                     tokens: 1,
                     done: Some(DoneReason::Stop),
                 });
             }
+            // "thread" answers with the name of the thread the query ran on.
+            let response = match request.question.as_str() {
+                "thread" => std::thread::current().name().unwrap_or("").to_owned(),
+                question => format!("answer to {question}"),
+            };
             Ok(OrchestrationResult {
                 strategy: "single".into(),
                 best: 0,
                 outcomes: vec![ModelOutcome {
                     model: "stub".into(),
-                    response: format!("answer to {}", request.question),
+                    response,
                     tokens: 3,
                     score: 0.9,
                     rounds: 1,
@@ -606,7 +611,6 @@ mod tests {
         assert!(storage.get("wal_appends").is_some());
         assert!(storage.get("recovery").is_some());
         let tracing = v.get("tracing").expect("tracing block");
-        assert!(tracing.get("events_dropped").is_some());
         assert!(tracing.get("offered").is_some());
         assert!(tracing.get("retained").is_some());
         // Route aggregation is keyed on (route, status): the /metrics hits
@@ -1210,6 +1214,63 @@ mod tests {
                     "held stream {i} ended without its result frame"
                 );
             }
+            server.shutdown();
+        }
+
+        /// A streaming query runs on the dispatch worker that owns its
+        /// request: no thread is spawned per stream.
+        #[test]
+        fn streaming_query_runs_on_its_dispatch_worker() {
+            let server = start_edge(server::ServerConfig::default());
+            let events = client::sse_request(
+                server.addr(),
+                "/api/query",
+                r#"{"question":"thread","stream":true}"#,
+            )
+            .unwrap();
+            let (name, data) = events.last().unwrap();
+            assert_eq!(name, "result", "{data}");
+            let result: serde_json::Value = serde_json::from_str(data).unwrap();
+            let thread = result["outcomes"][0]["response"].as_str().unwrap();
+            assert!(thread.starts_with("llmms-edge-"), "query ran on {thread:?}");
+            server.shutdown();
+        }
+
+        /// A panicking handler is answered 500 (a stream with its 500
+        /// `error` frame), and the only dispatch worker survives to serve
+        /// the next request.
+        #[test]
+        fn panicking_handlers_are_500_and_the_worker_survives() {
+            let server = start_edge(server::ServerConfig {
+                worker_threads: 1,
+                ..server::ServerConfig::default()
+            });
+            let query = |question: &str| {
+                let body = format!(r#"{{"question":"{question}"}}"#);
+                client::request_with_timeouts(
+                    server.addr(),
+                    "POST",
+                    "/api/query",
+                    &[],
+                    Some(&body),
+                    Some(Duration::from_secs(5)),
+                    Some(Duration::from_secs(10)),
+                )
+                .unwrap()
+            };
+            let r = query("panic");
+            assert_eq!(r.status, 500, "{}", r.body);
+            assert!(r.body.contains("request handler panicked"), "{}", r.body);
+            assert_eq!(query("hi").status, 200);
+            let body = r#"{"question":"panic","stream":true}"#;
+            let events = client::sse_request(server.addr(), "/api/query", body).unwrap();
+            let (name, data) = events.last().unwrap();
+            assert_eq!(name, "error");
+            assert_eq!(
+                data,
+                r#"{"error":"orchestration worker panicked","status":500}"#
+            );
+            assert_eq!(query("hi").status, 200);
             server.shutdown();
         }
 

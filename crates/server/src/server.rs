@@ -15,11 +15,16 @@ use crate::edge::OutboxWriter;
 use crate::http::{write_response, write_response_with, write_sse_header, Method, Request};
 use crate::service::{AppService, GenerateRequest, QueryContext, QueryRequest, ServiceError};
 use crate::sse;
-use llmms_core::{BrownoutConfig, BrownoutController, PressureInputs};
+use llmms_core::{
+    BrownoutConfig, BrownoutController, EventSink, OrchestrationEvent, OrchestrationResult,
+    PressureInputs,
+};
 use llmms_obs::{SpanRecord, SpanStatus, TraceData, TraceId, TraceStore, TraceStoreConfig, Tracer};
 use serde_json::{json, Value};
+use std::cell::Cell;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -88,8 +93,6 @@ pub struct ServerConfig {
     /// bucket). Over-quota requests are answered 429 with a computed
     /// `Retry-After` before any orchestration work starts.
     pub admission: AdmissionConfig,
-    /// Brownout thresholds driving the stepwise degradation ladder.
-    pub brownout: BrownoutConfig,
     /// The p99 request latency (milliseconds) the operator considers
     /// healthy; the latency component of the brownout pressure signal is
     /// observed p99 over this target.
@@ -124,7 +127,6 @@ impl Default for ServerConfig {
             worker_threads: 8,
             queue_depth: 64,
             admission: AdmissionConfig::default(),
-            brownout: BrownoutConfig::default(),
             target_p99_ms: 2_000,
             trace_buffer_len: traces.capacity,
             trace_sample_rate: traces.sample_rate,
@@ -156,7 +158,7 @@ impl OverloadState {
     fn new(config: &ServerConfig) -> Self {
         Self {
             admission: Arc::new(AdmissionController::new(config.admission.clone())),
-            brownout: BrownoutController::new(config.brownout.clone()),
+            brownout: BrownoutController::new(BrownoutConfig::default()),
             in_flight: AtomicUsize::new(0),
             queued: AtomicUsize::new(0),
             queue_capacity: config.queue_depth.max(1),
@@ -511,10 +513,18 @@ pub(crate) fn process_parsed<S: AppService>(
                 body.as_bytes(),
             );
             503
-        } else if admission_controlled(route) {
-            admit_and_dispatch(service, sink, request, route, overload, &mut root, &mut sse)
         } else {
-            dispatch(service, sink, request, &QueryContext::default(), &mut sse)
+            // One containment for every route: a panicking handler is
+            // answered 500 and the dispatch worker lives on to serve the
+            // next request.
+            llmms_exec::run_contained(|| {
+                if admission_controlled(route) {
+                    admit_and_dispatch(service, sink, request, route, overload, &mut root, &mut sse)
+                } else {
+                    dispatch(service, sink, request, &QueryContext::default(), &mut sse)
+                }
+            })
+            .unwrap_or_else(|_| answer_panic(sink, &mut sse))
         }
     };
     if let Some(sse) = sse {
@@ -841,12 +851,21 @@ fn handle_query<S: AppService>(
         };
     }
 
-    // Streaming: run the orchestration on a worker thread, forward events as
-    // SSE frames while it runs, then emit a final `result` frame. The wire
-    // status is committed as 200 the moment the SSE header goes out; the
-    // stream's real fate is reported through `sse` instead.
+    // Streaming: the orchestration runs here, on the dispatch worker that
+    // owns the request. Its sink writes each event into the connection's
+    // outbox as an SSE frame the moment it is emitted, and a final `result`
+    // frame follows. The wire status is committed as 200 the moment the SSE
+    // header goes out; the stream's real fate is reported through `sse`
+    // instead.
     sink.mark_streaming();
-    if write_sse_header(sink).is_err() {
+    // First frame: the trace id, so a streaming client can pull
+    // `/debug/traces/{id}` once the stream ends.
+    let trace_frame = llmms_obs::trace::current()
+        .trace_id()
+        .map(|id| sse::frame("trace", &json!({ "trace_id": id.to_hex() }).to_string()));
+    if write_sse_header(sink).is_err()
+        || trace_frame.is_some_and(|frame| sink.write_all(frame.as_bytes()).is_err())
+    {
         *sse = Some(SseOutcome {
             outcome: "client_gone",
             error_status: None,
@@ -854,64 +873,59 @@ fn handle_query<S: AppService>(
         });
         return 200;
     }
-    let mut client_gone = false;
-    // First frame: the trace id, so a streaming client can pull
-    // `/debug/traces/{id}` once the stream ends.
-    let tctx = llmms_obs::trace::current();
-    if let Some(id) = tctx.trace_id() {
-        let frame = sse::frame("trace", &json!({ "trace_id": id.to_hex() }).to_string());
-        if sink.write_all(frame.as_bytes()).is_err() || sink.flush().is_err() {
-            *sse = Some(SseOutcome {
-                outcome: "client_gone",
-                error_status: None,
-                done_reason: None,
-            });
-            return 200;
+    let client_gone = Rc::new(Cell::new(false));
+    let feed = SseFeed {
+        writer: sink.clone(),
+        client_gone: Rc::clone(&client_gone),
+    };
+    let result = service.query(&query, ctx, Some(Box::new(feed)));
+    *sse = Some(finish_stream(sink, result, client_gone.get()));
+    200
+}
+
+/// A streaming query's live feed: each orchestration event goes out as one
+/// SSE frame on the orchestrating thread. The first failed write (client
+/// gone, or stalled past the write-stall timeout) ends the feed.
+struct SseFeed {
+    writer: OutboxWriter,
+    client_gone: Rc<Cell<bool>>,
+}
+
+impl EventSink for SseFeed {
+    fn send(&mut self, event: &OrchestrationEvent) -> bool {
+        let frame = sse::event_frame(event);
+        if self.writer.write_all(frame.as_bytes()).is_err() {
+            self.client_gone.set(true);
+            return false;
         }
+        true
     }
-    let (tx, rx) = crossbeam_channel::unbounded();
-    let result = std::thread::scope(|scope| {
-        let query = &query;
-        let worker = scope.spawn(move || {
-            // The worker inherits the request's span context so the
-            // orchestration spans stay inside the request's tree.
-            let _guard = llmms_obs::trace::set_current(tctx);
-            service.query(query, ctx, Some(tx))
-        });
-        for event in rx.iter() {
-            let frame = sse::event_frame(&event);
-            if sink.write_all(frame.as_bytes()).is_err() || sink.flush().is_err() {
-                client_gone = true;
-                break; // client hung up; drain and let the worker finish
-            }
-        }
-        worker
-            .join()
-            .unwrap_or_else(|_| Err(ServiceError::internal("orchestration worker panicked")))
-    });
-    let (final_frame, mut outcome) = match result {
-        Ok(result) => {
-            let done_reason = result
-                .outcomes
-                .get(result.best)
-                .and_then(|o| o.done)
-                .map(|d| d.as_str());
-            let frame = sse::frame(
-                "result",
-                &serde_json::to_string(&result).unwrap_or_else(|_| "{}".into()),
-            );
-            let outcome = SseOutcome {
+}
+
+/// Write a stream's terminal frame — `result`, or `error` with the
+/// failure's status — and report how the stream ended.
+fn finish_stream(
+    sink: &mut OutboxWriter,
+    result: Result<OrchestrationResult, ServiceError>,
+    client_gone: bool,
+) -> SseOutcome {
+    let (event, data, mut outcome) = match result {
+        Ok(result) => (
+            "result",
+            serde_json::to_string(&result).unwrap_or_else(|_| "{}".into()),
+            SseOutcome {
                 outcome: if result.degraded { "degraded" } else { "ok" },
                 error_status: None,
-                done_reason,
-            };
-            (frame, outcome)
-        }
+                done_reason: result
+                    .outcomes
+                    .get(result.best)
+                    .and_then(|o| o.done)
+                    .map(|d| d.as_str()),
+            },
+        ),
         Err(e) => (
-            sse::frame(
-                "error",
-                &json!({ "error": e.message, "status": e.status }).to_string(),
-            ),
+            "error",
+            json!({ "error": e.message, "status": e.status }).to_string(),
             SseOutcome {
                 outcome: "error",
                 error_status: Some(e.status),
@@ -919,16 +933,30 @@ fn handle_query<S: AppService>(
             },
         ),
     };
-    if sink.write_all(final_frame.as_bytes()).is_err() || sink.flush().is_err() {
-        client_gone = true;
-    }
+    let final_failed = sink.write_all(sse::frame(event, &data).as_bytes()).is_err();
     // An orchestration failure outranks the client leaving: the dashboards
     // exist to surface failing streams, not bored clients.
-    if client_gone && outcome.outcome != "error" {
+    if (client_gone || final_failed) && outcome.outcome != "error" {
         outcome.outcome = "client_gone";
     }
-    *sse = Some(outcome);
-    200
+    outcome
+}
+
+/// Answer a request whose handler panicked. A stream whose header is out
+/// ends with a 500 `error` frame; otherwise the client gets a 500 JSON
+/// body, unless response bytes already went out, in which case the
+/// connection closes after them.
+fn answer_panic(sink: &mut OutboxWriter, sse: &mut Option<SseOutcome>) -> u16 {
+    if sink.is_streaming() {
+        let failed = Err(ServiceError::internal("orchestration worker panicked"));
+        *sse = Some(finish_stream(sink, failed, false));
+        return 200;
+    }
+    if sink.has_written() {
+        sink.close_after();
+        return 500;
+    }
+    respond_json(sink, 500, &json!({ "error": "request handler panicked" }))
 }
 
 fn respond_json(sink: &mut OutboxWriter, status: u16, body: &Value) -> u16 {

@@ -5,8 +5,7 @@
 //! Keeping the boundary a trait lets the transport be tested against a stub
 //! and keeps the dependency graph acyclic.
 
-use crossbeam_channel::Sender;
-use llmms_core::{OrchestrationEvent, OrchestrationResult};
+use llmms_core::{EventSink, OrchestrationResult};
 use llmms_models::{ModelInfo, UtilizationReport};
 use serde::{Deserialize, Serialize};
 
@@ -129,8 +128,11 @@ impl From<&str> for ServiceError {
 
 /// The platform behaviour the HTTP layer dispatches to.
 pub trait AppService: Send + Sync + 'static {
-    /// Answer a query; when `sink` is supplied, forward orchestration events
-    /// into it as they happen.
+    /// Answer a query on the calling thread. When `sink` is supplied, hand
+    /// it each orchestration event as it happens: for a streaming request
+    /// the server passes a sink that writes every event straight to the
+    /// client as an SSE frame, so the dispatch worker that owns the request
+    /// runs the whole stream.
     ///
     /// # Errors
     ///
@@ -141,7 +143,7 @@ pub trait AppService: Send + Sync + 'static {
         &self,
         request: &QueryRequest,
         ctx: &QueryContext,
-        sink: Option<Sender<OrchestrationEvent>>,
+        sink: Option<Box<dyn EventSink>>,
     ) -> Result<OrchestrationResult, ServiceError>;
 
     /// Ingest a document for RAG; returns the number of stored chunks.
@@ -410,11 +412,9 @@ pub fn stats_from(snapshot: &llmms_obs::Snapshot) -> serde_json::Value {
         },
     });
 
-    // Request tracing: sink-write drops (satellite of the trace pipeline)
-    // plus the tail sampler's bookkeeping, mirrored into the registry by the
-    // global trace store.
+    // Request tracing: the tail sampler's bookkeeping, mirrored into the
+    // registry by the global trace store.
     let tracing = json!({
-        "events_dropped": counter_total("trace_events_dropped_total"),
         "offered": counter_total("traces_offered_total"),
         "retained": counter_total("traces_retained_total"),
         "sampled_out": counter_total("traces_sampled_out_total"),
