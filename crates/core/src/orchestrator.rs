@@ -1,7 +1,7 @@
 //! The [`Orchestrator`] — the platform's computation-layer entry point.
 
 use crate::config::{OrchestratorConfig, Strategy};
-use crate::deadline::{self, Deadline};
+use crate::deadline::Deadline;
 use crate::engine::{self, Policy, Single};
 use crate::error::OrchestratorError;
 use crate::events::{EventRecorder, EventSink};
@@ -261,11 +261,7 @@ impl Orchestrator {
         // make it current for the strategy/runpool/rag layers below.
         let mut tspan = llmms_obs::trace::current().span("orchestrate");
         let tguard = llmms_obs::trace::set_current(tspan.context());
-        // Ambient deadline: the expiry instant of this query, visible to
-        // anything running on this thread below us — most importantly the
-        // federation client, which forwards the *remaining* budget to peers.
         let query_deadline = Deadline::new(config.query_deadline_ms);
-        let dguard = deadline::scope(query_deadline.expires_at());
         // Register this query with the cross-query scheduler so its
         // generation/embed/segment-search jobs dispatch under the right
         // tenant share, priority class and deadline. When the serving layer
@@ -303,7 +299,6 @@ impl Orchestrator {
         if overrides.brownout_level > 0 {
             result.degraded = true;
         }
-        drop(dguard);
         drop(tguard);
         if tspan.is_recording() {
             tspan.attr_with("strategy", || result.strategy.clone());
@@ -881,24 +876,6 @@ mod tests {
             )
             .unwrap_err();
         assert_eq!(err, OrchestratorError::DeadlineExceeded);
-    }
-
-    #[test]
-    fn ambient_deadline_visible_during_the_run() {
-        // The orchestrator installs the query deadline as this thread's
-        // ambient deadline for downstream layers (the federation client).
-        let store = knowledge();
-        let pool = [skilled("a", 0.9, &store)];
-        let mut cfg = config(Strategy::Single);
-        cfg.query_deadline_ms = Some(30_000);
-        let o = Orchestrator::new(llmms_embed::default_embedder(), cfg);
-        assert_eq!(crate::deadline::remaining_ms(), None);
-        o.run(&pool, "What is the capital of France?").unwrap();
-        assert_eq!(
-            crate::deadline::remaining_ms(),
-            None,
-            "ambient deadline must not leak past the run"
-        );
     }
 
     #[test]

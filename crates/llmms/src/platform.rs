@@ -89,8 +89,7 @@ pub struct AskOptions {
     /// graphs" extension).
     pub recall_memory: usize,
     /// Client deadline budget in milliseconds. Tightens — never loosens —
-    /// the configured query deadline, and the remaining budget propagates
-    /// to federated peers.
+    /// the configured query deadline.
     pub deadline_ms: Option<u64>,
     /// Brownout degradation level chosen by the serving layer (0 = none).
     /// Level ≥ 3 additionally skips RAG retrieval here.
@@ -509,9 +508,8 @@ impl PlatformBuilder {
         self
     }
 
-    /// Append custom models — chaos-wrapped arms, federated
-    /// [`RemoteModel`](llmms_server::RemoteModel) adapters — to the
-    /// evaluation pool.
+    /// Append custom models (e.g. chaos-wrapped arms) to the evaluation
+    /// pool.
     #[must_use]
     pub fn extra_models(mut self, models: Vec<SharedModel>) -> Self {
         self.extra_models = models;

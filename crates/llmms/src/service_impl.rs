@@ -4,9 +4,7 @@
 use crate::platform::{AskOptions, Platform, PlatformError};
 use llmms_core::{EventSink, OrchestrationResult, OrchestratorError, Strategy};
 use llmms_models::{ModelInfo, UtilizationReport};
-use llmms_server::{
-    AppService, GenerateRequest, GenerateResponse, QueryContext, QueryRequest, ServiceError,
-};
+use llmms_server::{AppService, QueryContext, QueryRequest, ServiceError};
 use serde_json::json;
 
 /// Map a platform failure to the HTTP status it should surface as: a pool
@@ -89,37 +87,6 @@ impl AppService for Platform {
         }
         self.set_orchestrator_config(config);
         Ok(())
-    }
-
-    fn generate(&self, request: &GenerateRequest) -> Result<GenerateResponse, String> {
-        let model = match &request.model {
-            Some(name) => self
-                .models()
-                .iter()
-                .find(|m| m.name() == name)
-                .cloned()
-                .ok_or_else(|| format!("unknown model {name:?}"))?,
-            None => self
-                .models()
-                .first()
-                .cloned()
-                .ok_or_else(|| "no models loaded".to_owned())?,
-        };
-        let done = model.complete(
-            &request.prompt,
-            &llmms_models::GenOptions {
-                max_tokens: request.max_tokens.max(1),
-                temperature: request.temperature,
-                seed: request.seed,
-            },
-        );
-        Ok(GenerateResponse {
-            model: model.name().to_owned(),
-            text: done.text,
-            tokens: done.tokens,
-            done_reason: done.done.as_str().to_owned(),
-            latency_ms: done.simulated_latency.as_secs_f64() * 1000.0,
-        })
     }
 
     fn config_json(&self) -> serde_json::Value {
@@ -219,6 +186,17 @@ mod tests {
             Some(r#"{"question":"What is the capital of Zorblax?","top_k":3}"#),
         )
         .unwrap();
+        assert_eq!(r.status, 200);
+        // A `top_k` far beyond the store is clamped, not allocated.
+        let r = client::request(
+            s.addr(),
+            "POST",
+            "/api/query",
+            Some(r#"{"question":"What is the capital of Zorblax?","top_k":1000000000000}"#),
+        )
+        .unwrap();
+        assert_eq!(r.status, 200, "{}", r.body);
+        let r = client::request(s.addr(), "GET", "/healthz", None).unwrap();
         assert_eq!(r.status, 200);
         s.shutdown();
     }

@@ -4,14 +4,12 @@
 //! during pretraining — including the *misconceptions* that benchmark is
 //! designed to probe. The simulation externalizes that knowledge: a store of
 //! `(question, correct answers, misconception answers)` entries indexed by
-//! question embedding in an [`llmms_vectordb::Collection`]. A model "recalls"
-//! by similarity lookup and then — depending on its per-category competence —
-//! reproduces either a correct answer or a plausible misconception, which is
-//! precisely the observable behaviour the orchestration algorithms must
-//! discriminate.
+//! question embedding, scanned exhaustively. A model "recalls" by similarity
+//! lookup and then — depending on its per-category competence — reproduces
+//! either a correct answer or a plausible misconception, which is precisely
+//! the observable behaviour the orchestration algorithms must discriminate.
 
-use llmms_embed::SharedEmbedder;
-use llmms_vectordb::{meta, Collection, CollectionConfig, Record};
+use llmms_embed::{dot, Embedding, Metric, SharedEmbedder};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -43,7 +41,12 @@ impl KnowledgeEntry {
 pub struct KnowledgeStore {
     entries: Vec<KnowledgeEntry>,
     by_id: HashMap<String, usize>,
-    questions: Collection,
+    /// `(entry index, question embedding)` of every entry `by_id` resolves
+    /// to, in insertion order (a repeated id keeps only its later entry).
+    questions: Vec<(usize, Embedding)>,
+    /// Every question embedding has unit norm, so cosine reduces to a dot
+    /// product over the query's norm.
+    all_unit: bool,
     embedder: SharedEmbedder,
     /// Below this cosine similarity a lookup is treated as "the model has
     /// never seen anything like this" and returns `None`.
@@ -54,22 +57,24 @@ impl KnowledgeStore {
     /// Build a store over `entries`, embedding every question with
     /// `embedder`.
     pub fn build(entries: Vec<KnowledgeEntry>, embedder: SharedEmbedder) -> Self {
-        let mut questions = Collection::new("knowledge", CollectionConfig::flat(embedder.dim()));
         let mut by_id = HashMap::with_capacity(entries.len());
         for (i, e) in entries.iter().enumerate() {
             by_id.insert(e.id.clone(), i);
-            let emb = embedder.embed(&e.question);
-            questions
-                .upsert(
-                    Record::new(e.id.clone(), emb)
-                        .with_metadata(meta([("category", e.category.as_str().into())])),
-                )
-                .expect("knowledge embeddings share the embedder dimension");
         }
+        let questions: Vec<(usize, Embedding)> = entries
+            .iter()
+            .enumerate()
+            .filter(|(i, e)| by_id[&e.id] == *i)
+            .map(|(i, e)| (i, embedder.embed(&e.question)))
+            .collect();
+        let all_unit = questions
+            .iter()
+            .all(|(_, v)| (v.l2_norm() - 1.0).abs() <= UNIT_NORM_TOL);
         Self {
             entries,
             by_id,
             questions,
+            all_unit,
             embedder,
             min_similarity: 0.35,
         }
@@ -134,14 +139,37 @@ impl KnowledgeStore {
             return None;
         }
         let emb = self.embedder.embed(focus);
-        let hits = self.questions.query(&emb, 1, None).ok()?;
-        let hit = hits.first()?;
-        if hit.score < self.min_similarity {
+        let query = emb.as_slice();
+        // The flat-index scan: a unit-norm store needs only the query's
+        // norm; otherwise every pair is a full cosine. Ties keep the
+        // earlier entry.
+        let query_inv_norm = if self.all_unit {
+            let norm = emb.l2_norm();
+            (norm > 0.0).then(|| 1.0 / norm)
+        } else {
+            None
+        };
+        let mut best: Option<(usize, f32)> = None;
+        for (i, v) in &self.questions {
+            let score = match query_inv_norm {
+                Some(inv) => (dot(query, v.as_slice()) * inv).clamp(-1.0, 1.0),
+                None => Metric::Cosine.similarity(query, v.as_slice()),
+            };
+            if best.map_or(true, |(_, top)| score.total_cmp(&top).is_gt()) {
+                best = Some((*i, score));
+            }
+        }
+        let (i, score) = best?;
+        if score < self.min_similarity {
             return None;
         }
-        self.get(&hit.id).map(|e| (e, hit.score))
+        Some((&self.entries[i], score))
     }
 }
+
+/// How far from 1.0 a question embedding's L2 norm may be and still count
+/// as unit (the flat vector index's tolerance).
+const UNIT_NORM_TOL: f32 = 1e-4;
 
 /// The portion of a prompt the model should treat as the question being
 /// asked *now*: everything after the last `Question:` marker (up to a

@@ -341,7 +341,7 @@ pub struct SpanRecord {
     pub parent: u64,
     /// Operation name (static taxonomy: `request`, `orchestrate`, `round`,
     /// `arm`, `retry`, `score`, `embed_query`, `rag_retrieve`, `wal_append`,
-    /// `wal_fsync`, `snapshot`, `remote_generate`, ...).
+    /// `wal_fsync`, `snapshot`, ...).
     pub name: &'static str,
     /// Start offset in microseconds since the trace epoch.
     pub start_us: u64,

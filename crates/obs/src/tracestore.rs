@@ -11,7 +11,7 @@
 //!    accumulated), are retained.
 //! 3. **Probabilistic rest** — everything else is kept with probability
 //!    `sample_rate`, decided deterministically from the trace id so
-//!    federated nodes sharing an id make the same call.
+//!    requests that join one client-supplied id make the same call.
 //!
 //! The buffer is a ring of `capacity` traces. Eviction prefers the oldest
 //! probabilistically-sampled entry, then the oldest slow entry, and only
@@ -249,8 +249,8 @@ impl TraceStore {
     }
 
     /// Look up a retained trace by id. When an id appears more than once
-    /// (e.g. a federated sub-call's own trace shares the caller's id), the
-    /// newest — typically the most complete — entry wins.
+    /// (e.g. a client reused one `X-LLMMS-Trace-Id` across requests), the
+    /// newest entry wins.
     pub fn get(&self, trace_id: u64) -> Option<StoredTrace> {
         self.traces
             .lock()

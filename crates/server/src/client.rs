@@ -51,8 +51,8 @@ pub fn request(
     request_with_headers(addr, method, path, &[], body)
 }
 
-/// [`request`] with extra request headers (e.g. `X-LLMMS-Trace-Id` so a
-/// federated sub-call joins the caller's trace).
+/// [`request`] with extra request headers (e.g. `X-LLMMS-Trace-Id` to join
+/// the caller's trace, or `X-LLMMS-Deadline-Ms` to bound the query).
 ///
 /// # Errors
 ///
@@ -185,21 +185,21 @@ mod tests {
     fn request_is_encoded_as_one_buffer() {
         let request = encode_request(
             "POST",
-            "/api/generate",
+            "/api/query",
             &[("X-LLMMS-Trace-Id", "00ff"), ("X-LLMMS-Deadline-Ms", "250")],
-            r#"{"prompt":"hi"}"#,
+            r#"{"question":"hi"}"#,
         );
         assert_eq!(
             request,
-            "POST /api/generate HTTP/1.1\r\n\
+            "POST /api/query HTTP/1.1\r\n\
              Host: llmms\r\n\
              Connection: close\r\n\
              Content-Type: application/json\r\n\
-             Content-Length: 15\r\n\
+             Content-Length: 17\r\n\
              X-LLMMS-Trace-Id: 00ff\r\n\
              X-LLMMS-Deadline-Ms: 250\r\n\
              \r\n\
-             {\"prompt\":\"hi\"}"
+             {\"question\":\"hi\"}"
         );
         assert_eq!(
             encode_request("GET", "/healthz", &[], ""),

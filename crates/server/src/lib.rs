@@ -30,7 +30,6 @@ pub mod admission;
 pub mod client;
 mod edge;
 pub mod http;
-pub mod remote;
 pub mod server;
 pub mod service;
 pub mod sse;
@@ -38,11 +37,8 @@ pub mod sse;
 pub use admission::{
     AdmissionConfig, AdmissionController, AdmissionPermit, Rejection, TenantQuota, DEFAULT_TENANT,
 };
-pub use remote::RemoteModel;
 pub use server::{EdgeConfig, Server, ServerConfig};
-pub use service::{
-    AppService, GenerateRequest, GenerateResponse, QueryContext, QueryRequest, ServiceError,
-};
+pub use service::{AppService, QueryContext, QueryRequest, ServiceError};
 
 #[cfg(test)]
 mod tests {
@@ -205,22 +201,6 @@ mod tests {
         fn config_json(&self) -> serde_json::Value {
             json!({ "strategy": "oua", "token_budget": 2048 })
         }
-
-        fn generate(
-            &self,
-            request: &crate::service::GenerateRequest,
-        ) -> Result<crate::service::GenerateResponse, String> {
-            if request.prompt.is_empty() {
-                return Err("empty prompt".into());
-            }
-            Ok(crate::service::GenerateResponse {
-                model: request.model.clone().unwrap_or_else(|| "stub".into()),
-                text: format!("generated for {}", request.prompt),
-                tokens: 3,
-                done_reason: "stop".into(),
-                latency_ms: 12.0,
-            })
-        }
     }
 
     fn start() -> Server {
@@ -368,8 +348,10 @@ mod tests {
     #[test]
     fn unknown_route_is_404() {
         let server = start();
-        let r = client::request(server.addr(), "GET", "/nope", None).unwrap();
-        assert_eq!(r.status, 404);
+        for (method, path) in [("GET", "/nope"), ("POST", "/api/generate")] {
+            let r = client::request(server.addr(), method, path, None).unwrap();
+            assert_eq!(r.status, 404, "{method} {path}");
+        }
         server.shutdown();
     }
 

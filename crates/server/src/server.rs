@@ -13,7 +13,7 @@
 use crate::admission::{AdmissionConfig, AdmissionController, DEFAULT_TENANT};
 use crate::edge::OutboxWriter;
 use crate::http::{write_response, write_response_with, write_sse_header, Method, Request};
-use crate::service::{AppService, GenerateRequest, QueryContext, QueryRequest, ServiceError};
+use crate::service::{AppService, QueryContext, QueryRequest, ServiceError};
 use crate::sse;
 use llmms_core::{
     BrownoutConfig, BrownoutController, EventSink, OrchestrationEvent, OrchestrationResult,
@@ -320,7 +320,7 @@ fn shed_exempt(route: &str) -> bool {
 /// models. Everything else (config, sessions, probes) is cheap enough that
 /// quota accounting would only add noise.
 fn admission_controlled(route: &str) -> bool {
-    matches!(route, "/api/query" | "/api/generate")
+    route == "/api/query"
 }
 
 /// How a committed SSE stream actually ended — the wire status is 200 the
@@ -482,9 +482,8 @@ pub(crate) fn process_parsed<S: AppService>(
     let observing = registry.enabled();
     let route = route_label(&request.path);
     // Root of the per-request span tree. An `X-LLMMS-Trace-Id` header joins
-    // a federated caller's trace; otherwise the id is fresh. When tracing
-    // is globally disabled the tracer records nothing and allocates
-    // nothing.
+    // the caller's trace; otherwise the id is fresh. When tracing is
+    // globally disabled the tracer records nothing and allocates nothing.
     let trace_id = request
         .headers
         .get("x-llmms-trace-id")
@@ -601,7 +600,6 @@ pub(crate) fn route_label(path: &str) -> &'static str {
         "/api/hardware" => "/api/hardware",
         "/api/config" => "/api/config",
         "/api/query" => "/api/query",
-        "/api/generate" => "/api/generate",
         "/api/ingest" => "/api/ingest",
         "/api/sessions" => "/api/sessions",
         p if p.starts_with("/api/sessions/") => "/api/sessions/:id",
@@ -644,7 +642,6 @@ fn dispatch<S: AppService>(
         (Method::Get, "/api/config") => respond_json(sink, 200, &service.config_json()),
         (Method::Post, "/api/config") => handle_configure(service, sink, request),
         (Method::Post, "/api/query") => handle_query(service, sink, request, ctx, sse),
-        (Method::Post, "/api/generate") => handle_generate(service, sink, request),
         (Method::Post, "/api/ingest") => handle_ingest(service, sink, request),
         (Method::Post, "/api/sessions") => {
             let id = service.create_session();
@@ -786,21 +783,6 @@ fn handle_configure<S: AppService>(service: &S, sink: &mut OutboxWriter, request
         .map(|v| v as usize);
     match service.configure(strategy, budget) {
         Ok(()) => respond_json(sink, 200, &service.config_json()),
-        Err(e) => respond_json(sink, 400, &json!({ "error": e })),
-    }
-}
-
-fn handle_generate<S: AppService>(service: &S, sink: &mut OutboxWriter, request: &Request) -> u16 {
-    let req: GenerateRequest = match serde_json::from_str(&request.body_str()) {
-        Ok(r) => r,
-        Err(e) => return respond_json(sink, 400, &json!({ "error": format!("bad json: {e}") })),
-    };
-    match service.generate(&req) {
-        Ok(response) => respond_json(
-            sink,
-            200,
-            &serde_json::to_value(&response).unwrap_or(Value::Null),
-        ),
         Err(e) => respond_json(sink, 400, &json!({ "error": e })),
     }
 }

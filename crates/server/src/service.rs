@@ -183,15 +183,6 @@ pub trait AppService: Send + Sync + 'static {
     /// The current orchestration settings as JSON.
     fn config_json(&self) -> serde_json::Value;
 
-    /// Raw single-model generation — the endpoint federated peers call to
-    /// use this node's models (§9.5 "federated and secure model
-    /// integration"). `model` of `None` means the node's first model.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable error string (unknown model, generation failure).
-    fn generate(&self, request: &GenerateRequest) -> Result<GenerateResponse, String>;
-
     /// Prometheus text exposition of the process-wide metrics registry
     /// (served at `GET /metrics`).
     fn metrics_text(&self) -> String {
@@ -528,46 +519,4 @@ pub fn stats_from(snapshot: &llmms_obs::Snapshot) -> serde_json::Value {
         "overload": overload,
         "sched": sched,
     })
-}
-
-/// A raw generation request (the federated peer API).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct GenerateRequest {
-    /// Model to run; `None` picks the node's first model.
-    #[serde(default)]
-    pub model: Option<String>,
-    /// The full prompt.
-    pub prompt: String,
-    /// Token cap.
-    #[serde(default = "default_max_tokens")]
-    pub max_tokens: usize,
-    /// Sampling temperature.
-    #[serde(default = "default_temperature")]
-    pub temperature: f32,
-    /// Determinism seed.
-    #[serde(default)]
-    pub seed: u64,
-}
-
-fn default_max_tokens() -> usize {
-    2048
-}
-
-fn default_temperature() -> f32 {
-    0.7
-}
-
-/// A raw generation response.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct GenerateResponse {
-    /// The model that generated.
-    pub model: String,
-    /// Full response text.
-    pub text: String,
-    /// Tokens generated.
-    pub tokens: usize,
-    /// Done reason wire string (`"stop"` / `"length"` / `"aborted"`).
-    pub done_reason: String,
-    /// Simulated generation latency in milliseconds.
-    pub latency_ms: f64,
 }

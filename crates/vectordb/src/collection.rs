@@ -455,7 +455,8 @@ impl Collection {
     }
 
     /// Top-`k` records most similar to `query`, optionally restricted by a
-    /// metadata [`Filter`].
+    /// metadata [`Filter`]. A `k` beyond the store's size returns every
+    /// match.
     ///
     /// # Errors
     ///
@@ -484,6 +485,11 @@ impl Collection {
             };
             registry.span_on(&registry.histogram_with("vectordb_search_us", &[("index", kind)]))
         });
+        // `k` comes straight from request bodies and sizes the top-k heaps
+        // and HNSW beams. No search can visit more slots than internal ids
+        // were ever issued, so this cap changes no result, while an
+        // unclamped 10^12 would abort the process on allocation.
+        let k = k.min(self.next_internal as usize);
         let accept = filter.map(|f| {
             let records = &self.records;
             move |id: InternalId| records.get(&id).is_some_and(|r| f.matches(&r.metadata))
@@ -664,6 +670,15 @@ mod tests {
         assert_eq!(hits[0].id, "a");
         assert_eq!(hits[1].id, "c");
         assert_eq!(hits[2].id, "b");
+    }
+
+    #[test]
+    fn huge_k_is_clamped_to_the_store() {
+        let mut c = Collection::new("docs", CollectionConfig::flat(2));
+        c.upsert(Record::new("a", emb(&[1.0, 0.0]))).unwrap();
+        let hits = c.query(&emb(&[1.0, 0.0]), 1_000_000_000_000, None).unwrap();
+        assert_eq!(hits.len(), 1);
+        assert_eq!(hits[0].id, "a");
     }
 
     #[test]

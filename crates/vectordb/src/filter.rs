@@ -3,8 +3,7 @@
 //!
 //! Filters are evaluated against a record's [`Metadata`] during queries so
 //! that, e.g., the RAG retriever can restrict a search to chunks of one
-//! uploaded document, or the simulated models can restrict knowledge lookup
-//! to one category.
+//! uploaded document.
 
 use crate::metadata::{MetaValue, Metadata};
 use serde::{Deserialize, Serialize};

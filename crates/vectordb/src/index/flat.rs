@@ -8,8 +8,8 @@ use llmms_embed::{dot, Metric};
 /// Vectors are stored back-to-back in one `Vec<f32>` (struct-of-arrays) so a
 /// scan is a single sequential pass — the same layout FAISS's `IndexFlat`
 /// uses. For the collection sizes the platform handles at query time
-/// (session embeddings, document chunks, knowledge lookup), the exact scan
-/// is frequently faster than HNSW and is always the recall reference.
+/// (session embeddings, document chunks), the exact scan is frequently
+/// faster than HNSW and is always the recall reference.
 #[derive(Debug, Clone)]
 pub struct FlatIndex {
     pub(crate) metric: Metric,
