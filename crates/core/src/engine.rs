@@ -43,7 +43,7 @@ pub(crate) struct Query<'a> {
     pub prompt: &'a str,
     /// The prompt's embedding, made once per query by the orchestrator.
     pub embedding: Arc<Embedding>,
-    /// The query deadline — the one the ambient deadline scope carries.
+    /// The query deadline, checked at every round boundary.
     pub deadline: Deadline,
     /// The configuration with the query's overrides applied.
     pub config: &'a OrchestratorConfig,
@@ -196,6 +196,8 @@ pub(crate) fn run(
     let mut deadline_exceeded = false;
     let mut rounds_capped = false;
     let mut winner = None;
+    // What one fan-out cost this query; `generate_round` measures and reads it.
+    let mut fan_out_overhead = None;
     while winner.is_none() {
         if arms.budget.exhausted() || arms.active().next().is_none() {
             break;
@@ -231,6 +233,7 @@ pub(crate) fn run(
             &mut arms.budget,
             arms.embedder,
             &round_ctx,
+            &mut fan_out_overhead,
         );
         runpool::emit_round_chunks(&arms.runs, &chunks, &mut recorder);
         let score_span = round_ctx.scope("score");

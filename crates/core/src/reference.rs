@@ -1,6 +1,5 @@
 //! The reference implementation the equivalence suite compares against,
-//! selected per thread for the duration of a scope (the same shape as the
-//! ambient deadline in [`crate::deadline`]). Test builds only.
+//! selected per thread for the duration of a scope. Test builds only.
 //!
 //! Exactly two places consult it: [`crate::runpool::generate_round`] (run
 //! every target arm by arm through [`ModelRun::generate`]) and

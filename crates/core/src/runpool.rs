@@ -104,6 +104,9 @@ pub(crate) struct ModelRun {
     health: Arc<HealthRegistry>,
     /// Whether this run already reported its terminal verdict to `health`.
     reported: bool,
+    /// Wall time of the last step's job, wherever it computed; `None` until
+    /// a step ran one. [`generate_round`] reads it to place the next round.
+    last_busy: Option<Duration>,
     /// Token count snapshotted when a step takes the session out. If the
     /// step panics the session is lost with it and the permanent
     /// [`DeadSession`] reports zero; the floor keeps the already-budget-
@@ -143,6 +146,7 @@ impl ModelRun {
                         policy,
                         health: Arc::clone(health),
                         reported: false,
+                        last_busy: None,
                         tokens_floor: 0,
                     }
                 } else {
@@ -164,6 +168,7 @@ impl ModelRun {
                         // A breaker skip is not new evidence about the
                         // backend: don't extend the failure streak.
                         reported: true,
+                        last_busy: None,
                         tokens_floor: 0,
                     }
                 }
@@ -217,6 +222,7 @@ impl ModelRun {
         self.retries += done.retries;
         self.backoff += done.backoff;
         self.note_generate_latency(done.busy);
+        self.last_busy = Some(done.busy);
         let granted = budget.grant(done.lease);
         assert_eq!(granted, done.lease, "a lease must commit in full");
         let chunk = match done.outcome {
@@ -457,14 +463,17 @@ fn compute_marked(
 ///
 /// Every arm takes the same step — [`ModelRun::begin_generate`],
 /// [`GenJob::compute`], [`ModelRun::finish_generate`] — and the round only
-/// decides where each job computes. In a round of two or more targets, an
-/// arm whose lease the pessimistic plan ([`TokenBudget::plan_leases`])
-/// covers computes on the executor. A single-target round and a deferred
-/// arm compute on the calling thread at the barrier, against
-/// `min(request, remaining)`, with a panic contained the way the executor
-/// contains a worker's. The barrier commits in arm order, so the returned
-/// chunks, the budget and every run come out the same wherever the jobs
-/// computed.
+/// decides where each job computes. A round of two or more targets fans
+/// out when [`fans_out`] says overlapping its arms saves more than a
+/// fan-out costs the query; `overhead` is that cost, as the query's last
+/// fanned-out round measured it. In a fanned-out round, an arm whose lease
+/// the pessimistic plan ([`TokenBudget::plan_leases`]) covers computes on
+/// the executor. Every other job — a single-target round, a round placed
+/// inline, a deferred arm — computes on the calling thread at the barrier,
+/// against `min(request, remaining)`, with a panic contained the way the
+/// executor contains a worker's. The barrier commits in arm order, so the
+/// returned chunks, the budget and every run come out the same wherever
+/// the jobs computed.
 ///
 /// Tracing: the barrier records one `"arm"` span per target through
 /// [`SpanContext::record_span`]. A worker only reads the clock when its job
@@ -477,6 +486,7 @@ pub(crate) fn generate_round(
     budget: &mut TokenBudget,
     embedder: &SharedEmbedder,
     trace: &SpanContext,
+    overhead: &mut Option<Duration>,
 ) -> Vec<(usize, Chunk)> {
     #[cfg(test)]
     if crate::reference::current().inline_rounds {
@@ -486,11 +496,15 @@ pub(crate) fn generate_round(
             .collect();
     }
     let recording = trace.is_enabled();
-    let mut fanned = if targets.len() >= 2 {
-        fan_out(runs, targets, budget, embedder, recording)
-    } else {
-        Vec::new()
-    };
+    let mut fanned = Vec::new();
+    if targets.len() >= 2 {
+        if fans_out(*overhead, targets.iter().map(|&(i, _)| runs[i].last_busy)) {
+            fanned = fan_out(runs, targets, budget, embedder, recording, overhead);
+        }
+        if fanned.is_empty() {
+            inline_round_metric();
+        }
+    }
     targets
         .iter()
         .map(|&(i, request)| {
@@ -524,15 +538,46 @@ pub(crate) fn generate_round(
         .collect()
 }
 
+/// Whether a round of two or more targets fans out, given `overhead` (what
+/// the query's last fan-out cost beyond its slowest job) and each target's
+/// last step time (`None` for an arm that has not stepped yet).
+///
+/// Inline, the round costs Σ busy; fanned out, about `overhead` + max busy.
+/// So the round fans out when Σ busy > `overhead` + max busy — and when
+/// either side is unknown, which makes a query's first round fan out and
+/// measure. Both sides are durations the engine measured in this query;
+/// nothing is tuned.
+fn fans_out(
+    overhead: Option<Duration>,
+    last_busy: impl IntoIterator<Item = Option<Duration>>,
+) -> bool {
+    let Some(overhead) = overhead else {
+        return true;
+    };
+    let (mut sum, mut max) = (Duration::ZERO, Duration::ZERO);
+    for busy in last_busy {
+        let Some(busy) = busy else {
+            return true;
+        };
+        sum += busy;
+        max = max.max(busy);
+    }
+    sum > overhead + max
+}
+
 /// Start the jobs of every arm whose lease the pessimistic plan covers on
-/// the executor and wait for them. Returns, per arm index, the job's start
-/// mark and result; deferred arms, zero leases and failed runs have none.
+/// the executor and wait for them, then set `overhead` to the wait beyond
+/// the slowest job. Returns, per arm index, the job's start mark and
+/// result; deferred arms, zero leases and failed runs have none. Empty
+/// when no arm had a job to start: the executor is not called and nothing
+/// is measured.
 fn fan_out(
     runs: &mut [ModelRun],
     targets: &[(usize, usize)],
     budget: &TokenBudget,
     embedder: &SharedEmbedder,
     recording: bool,
+    overhead: &mut Option<Duration>,
 ) -> Vec<Option<(Option<TickMark>, Computed)>> {
     let requests: Vec<usize> = targets.iter().map(|&(_, request)| request).collect();
     let mut starts = vec![None; runs.len()];
@@ -546,15 +591,20 @@ fn fan_out(
             }
         }
     }
+    if jobs.is_empty() {
+        return Vec::new();
+    }
     let fan_out = jobs.len();
     let wall = Instant::now();
     let done = llmms_exec::submit_indexed(jobs).wait();
     let wall = wall.elapsed();
-    let busy: Duration = done
+    let (busy, slowest) = done
         .iter()
         .filter_map(|(_, r)| r.as_ref().ok())
-        .map(|(d, _)| d.busy)
-        .sum();
+        .fold((Duration::ZERO, Duration::ZERO), |(sum, max), (d, _)| {
+            (sum + d.busy, max.max(d.busy))
+        });
+    *overhead = Some(wall.saturating_sub(slowest));
     parallel_round_metrics(fan_out, busy, wall);
     let mut by_arm: Vec<Option<(Option<TickMark>, Computed)>> =
         (0..runs.len()).map(|_| None).collect();
@@ -621,6 +671,15 @@ fn parallel_round_metrics(fan_out: usize, busy: Duration, wall: Duration) {
             .gauge("round_parallel_speedup_x100")
             .metric
             .set((speedup * 100.0) as i64);
+    }
+}
+
+/// Count a round of two or more targets that computed on the calling
+/// thread.
+fn inline_round_metric() {
+    let registry = llmms_obs::Registry::global();
+    if registry.enabled() {
+        registry.counter("round_inline_total").metric.inc();
     }
 }
 
@@ -808,7 +867,7 @@ mod tests {
     fn step(runs: &mut [ModelRun], request: usize, budget: &mut TokenBudget) -> Chunk {
         let embedder = llmms_embed::default_embedder();
         let trace = SpanContext::disabled();
-        generate_round(runs, &[(0, request)], budget, &embedder, &trace)
+        generate_round(runs, &[(0, request)], budget, &embedder, &trace, &mut None)
             .remove(0)
             .1
     }
@@ -888,8 +947,10 @@ mod tests {
     }
 
     /// The production round against the test-only arm-by-arm reference
-    /// ([`ModelRun::generate`] in `reference.rs`): fanned-out rounds of
-    /// every active arm alternate with single-target rounds.
+    /// ([`ModelRun::generate`] in `reference.rs`). Rounds cycle through the
+    /// three placements: every active arm fanned out (no fan-out cost
+    /// measured yet), every active arm inline (a fan-out costing an hour),
+    /// and a single target.
     #[test]
     fn generate_round_matches_the_inline_path() {
         let embedder = llmms_embed::default_embedder();
@@ -899,6 +960,7 @@ mod tests {
         // The second limit is tight enough that the pessimistic lease plan
         // defers the last arm to the barrier.
         let mut retried = false;
+        let (mut placed_out, mut placed_inline) = (false, false);
         for limit in [10_000, 5] {
             let mut fanned = start(&models);
             let mut inline = start(&models);
@@ -911,12 +973,24 @@ mod tests {
                     .map(|i| (i, 2))
                     .take(if round % 3 == 2 { 1 } else { usize::MAX })
                     .collect();
+                let mut overhead = (round % 3 == 1).then(|| Duration::from_secs(3600));
+                if targets.len() >= 2 {
+                    let out = fans_out(overhead, targets.iter().map(|&(i, _)| fanned[i].last_busy));
+                    placed_out |= out;
+                    placed_inline |= !out;
+                }
                 let requests: Vec<usize> = targets.iter().map(|&(_, r)| r).collect();
                 deferred |= fanned_budget
                     .plan_leases(&requests)
                     .contains(&Lease::Deferred);
-                let from_round =
-                    generate_round(&mut fanned, &targets, &mut fanned_budget, &embedder, &trace);
+                let from_round = generate_round(
+                    &mut fanned,
+                    &targets,
+                    &mut fanned_budget,
+                    &embedder,
+                    &trace,
+                    &mut overhead,
+                );
                 let one_by_one: Vec<(usize, Chunk)> = targets
                     .iter()
                     .map(|&(i, request)| {
@@ -932,6 +1006,33 @@ mod tests {
             assert_eq!(deferred, limit == 5, "limit {limit}");
         }
         assert!(retried, "the flaky arm never retried");
+        assert!(placed_out && placed_inline, "a placement never ran");
+    }
+
+    /// The placement rule on synthetic durations.
+    #[test]
+    fn placement_rule_fans_out_only_when_overlap_pays() {
+        let us = Duration::from_micros;
+        let ms = Duration::from_millis;
+        // No fan-out measured yet in this query: fan out and measure.
+        assert!(fans_out(None, [Some(us(1)), Some(us(1))]));
+        // A target that has not stepped yet: fan out.
+        assert!(fans_out(Some(us(40)), [Some(us(1)), None, Some(us(1))]));
+        // Microsecond arms: overlapping three of them saves 2 µs of a
+        // 40 µs fan-out, so the round computes inline. A tie stays inline.
+        assert!(!fans_out(Some(us(40)), [Some(us(1)); 3]));
+        assert!(!fans_out(Some(us(2)), [Some(us(1)); 3]));
+        // Millisecond arms hide the fan-out cost: fan out.
+        assert!(fans_out(Some(us(40)), [Some(ms(8)); 4]));
+        // One arm slowed down: fan out once the others' time exceeds the cost.
+        assert!(!fans_out(
+            Some(us(40)),
+            [Some(ms(8)), Some(us(1)), Some(us(1))]
+        ));
+        assert!(fans_out(
+            Some(us(40)),
+            [Some(ms(8)), Some(ms(8)), Some(us(1))]
+        ));
     }
 
     #[test]

@@ -342,7 +342,15 @@ mod tests {
         let mut budget = TokenBudget::new(10_000);
         let trace = llmms_obs::SpanContext::disabled();
         let mut round = |runs: &mut [ModelRun], targets: &[(usize, usize)]| {
-            crate::runpool::generate_round(runs, targets, &mut budget, &embedder, &trace);
+            // No fan-out cost measured yet: a multi-target round fans out.
+            crate::runpool::generate_round(
+                runs,
+                targets,
+                &mut budget,
+                &embedder,
+                &trace,
+                &mut None,
+            );
         };
         // Two 3-arm OUA rounds (fanned out): every arm grew both times.
         for _ in 0..2 {

@@ -115,31 +115,29 @@ fn ensure_workers(p: &'static Pool, want: usize) {
 }
 
 fn worker_loop(p: &'static Pool) {
+    // The unlabeled handles are resolved once per worker, not per dispatch.
+    let registry = llmms_obs::Registry::global();
+    let run_delay = registry.histogram("sched_run_delay_us");
+    let depth_gauge = registry.gauge("sched_queue_depth");
     loop {
-        let dispatch = {
+        // The depth is read under the lock that dequeued the task.
+        let (dispatch, depth) = {
             let mut state = p.state.lock().expect("scheduler state");
             loop {
                 if let Some(d) = state.dequeue() {
-                    break d;
+                    break (d, state.queue_depth());
                 }
                 state = p.available.wait(state).expect("scheduler state");
             }
         };
-        let registry = llmms_obs::Registry::global();
         if registry.enabled() {
             let delay = now_us().saturating_sub(dispatch.enqueued_us);
-            registry
-                .histogram("sched_run_delay_us")
-                .metric
-                .record(delay as f64);
+            run_delay.metric.record(delay as f64);
             registry
                 .counter_with("sched_dispatch_total", &[("tenant", &dispatch.tenant)])
                 .metric
                 .inc();
-            registry
-                .gauge("sched_queue_depth")
-                .metric
-                .set(queue_depth() as i64);
+            depth_gauge.metric.set(depth as i64);
         }
         // Run outside the lock so workers overlap; catch the unwind so a
         // panicking task cannot shrink the fleet (the task's own wrapper
@@ -414,15 +412,23 @@ where
 }
 
 /// Submit every task against an explicit [`QueryHandle`], bypassing the
-/// ambient scope. Benches and multi-query drivers use this directly.
+/// ambient scope. Benches and multi-query drivers use this directly. An
+/// empty batch touches nothing and waits for nothing.
 pub fn submit_on<T, F>(handle: &QueryHandle, tasks: Vec<(usize, F)>) -> Batch<T>
 where
     T: Send + 'static,
     F: FnOnce() -> T + Send + 'static,
 {
-    let p = pool();
     let (done_tx, done_rx) = unbounded::<(usize, Result<T, TaskPoisoned>)>();
     let n = tasks.len();
+    if n == 0 {
+        // Nothing to run: no lock, no worker, no wake.
+        return Batch {
+            rx: done_rx,
+            submitted: Vec::new(),
+        };
+    }
+    let p = pool();
     let mut submitted = Vec::with_capacity(n);
     let enqueued_us = now_us();
     let depth = {
@@ -444,10 +450,11 @@ where
         registry.gauge("sched_queue_depth").metric.set(depth as i64);
     }
     ensure_workers(p, depth.max(n));
-    if n == 1 {
+    // One wake per task: a woken worker that finds the queue drained goes
+    // back to waiting, and a busy one dequeues again before it sleeps, so
+    // every task is picked up without waking the whole fleet.
+    for _ in 0..n {
         p.available.notify_one();
-    } else {
-        p.available.notify_all();
     }
     Batch {
         rx: done_rx,
@@ -474,6 +481,12 @@ mod tests {
         let tasks: Vec<(usize, _)> = (0..24).map(|i| (i, move || i * i)).collect();
         let done = values(submit_indexed(tasks).wait());
         assert_eq!(done, (0..24).map(|i| (i, i * i)).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn empty_batch_returns_at_once() {
+        let done = submit_indexed(Vec::<(usize, fn() -> usize)>::new()).wait();
+        assert!(done.is_empty());
     }
 
     #[test]

@@ -588,6 +588,7 @@ mod tests {
         assert!(v.get("scoring").is_some());
         let parallel = v.get("parallel").expect("parallel block");
         assert!(parallel.get("round_parallel_speedup").is_some());
+        assert!(parallel["inline_rounds"].as_u64().is_some(), "{parallel}");
         assert!(parallel.get("embed_cache").is_some());
         let storage = v.get("storage").expect("storage block");
         assert!(storage.get("wal_appends").is_some());

@@ -351,7 +351,10 @@ pub fn stats_from(snapshot: &llmms_obs::Snapshot) -> serde_json::Value {
     // Parallel round execution: aggregate speedup (total per-arm busy time
     // over wall-clock round time — how much generation overlapped), last
     // round's fan-out, per-model generate latency and the embedding
-    // memo-cache counters that feed the overlap.
+    // memo-cache counters that feed the overlap. `rounds`, `busy_us`,
+    // `wall_us` and the speedup cover fanned-out rounds only;
+    // `inline_rounds` counts the rounds of two or more arms that computed
+    // on the calling thread.
     let busy_us = hist_of("round_busy_us").map_or(0.0, |h| h.sum);
     let wall_us = hist_of("round_wall_us").map_or(0.0, |h| h.sum);
     let mut generate = Map::new();
@@ -369,6 +372,7 @@ pub fn stats_from(snapshot: &llmms_obs::Snapshot) -> serde_json::Value {
     }
     let parallel = json!({
         "rounds": hist_of("round_wall_us").map_or(0, |h| h.count),
+        "inline_rounds": counter_total("round_inline_total"),
         "last_round_fanout": snapshot
             .gauges
             .iter()
