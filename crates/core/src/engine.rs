@@ -196,8 +196,8 @@ pub(crate) fn run(
     let mut deadline_exceeded = false;
     let mut rounds_capped = false;
     let mut winner = None;
-    // What one fan-out cost this query; `generate_round` measures and reads it.
-    let mut fan_out_overhead = None;
+    // What fan-outs cost this query; `generate_round` measures and reads it.
+    let mut placement = runpool::Placement::default();
     while winner.is_none() {
         if arms.budget.exhausted() || arms.active().next().is_none() {
             break;
@@ -233,7 +233,7 @@ pub(crate) fn run(
             &mut arms.budget,
             arms.embedder,
             &round_ctx,
-            &mut fan_out_overhead,
+            &mut placement,
         );
         runpool::emit_round_chunks(&arms.runs, &chunks, &mut recorder);
         let score_span = round_ctx.scope("score");

@@ -464,9 +464,9 @@ fn compute_marked(
 /// Every arm takes the same step — [`ModelRun::begin_generate`],
 /// [`GenJob::compute`], [`ModelRun::finish_generate`] — and the round only
 /// decides where each job computes. A round of two or more targets fans
-/// out when [`fans_out`] says overlapping its arms saves more than a
-/// fan-out costs the query; `overhead` is that cost, as the query's last
-/// fanned-out round measured it. In a fanned-out round, an arm whose lease
+/// out when `placement` ([`Placement::fans_out`]) says overlapping its arms
+/// saves more than a fan-out costs the query. In a fanned-out round, an
+/// arm whose lease
 /// the pessimistic plan ([`TokenBudget::plan_leases`]) covers computes on
 /// the executor. Every other job — a single-target round, a round placed
 /// inline, a deferred arm — computes on the calling thread at the barrier,
@@ -486,7 +486,7 @@ pub(crate) fn generate_round(
     budget: &mut TokenBudget,
     embedder: &SharedEmbedder,
     trace: &SpanContext,
-    overhead: &mut Option<Duration>,
+    placement: &mut Placement,
 ) -> Vec<(usize, Chunk)> {
     #[cfg(test)]
     if crate::reference::current().inline_rounds {
@@ -498,10 +498,12 @@ pub(crate) fn generate_round(
     let recording = trace.is_enabled();
     let mut fanned = Vec::new();
     if targets.len() >= 2 {
-        if fans_out(*overhead, targets.iter().map(|&(i, _)| runs[i].last_busy)) {
-            fanned = fan_out(runs, targets, budget, embedder, recording, overhead);
+        let saving = overlap_saving(targets.iter().map(|&(i, _)| runs[i].last_busy));
+        if placement.fans_out(saving) {
+            fanned = fan_out(runs, targets, budget, embedder, recording, placement);
         }
         if fanned.is_empty() {
+            placement.forgone += saving.unwrap_or_default();
             inline_round_metric();
         }
     }
@@ -538,35 +540,62 @@ pub(crate) fn generate_round(
         .collect()
 }
 
-/// Whether a round of two or more targets fans out, given `overhead` (what
-/// the query's last fan-out cost beyond its slowest job) and each target's
-/// last step time (`None` for an arm that has not stepped yet).
-///
-/// Inline, the round costs Σ busy; fanned out, about `overhead` + max busy.
-/// So the round fans out when Σ busy > `overhead` + max busy — and when
-/// either side is unknown, which makes a query's first round fan out and
-/// measure. Both sides are durations the engine measured in this query;
-/// nothing is tuned.
-fn fans_out(
+/// Where a query's rounds of two or more targets compute, from durations
+/// the query itself measured. [`engine::run`](crate::engine) owns one per
+/// query; nothing outlives it.
+#[derive(Debug, Default)]
+pub(crate) struct Placement {
+    /// The last fan-out's wait beyond its slowest job; `None` until the
+    /// query fans out once.
     overhead: Option<Duration>,
-    last_busy: impl IntoIterator<Item = Option<Duration>>,
-) -> bool {
-    let Some(overhead) = overhead else {
-        return true;
-    };
+    /// [`overlap_saving`] summed over the rounds placed inline since that
+    /// fan-out: what overlapping them would have saved had a fan-out been
+    /// free.
+    forgone: Duration,
+}
+
+impl Placement {
+    /// Whether a round whose overlap would save `saving` ([`overlap_saving`])
+    /// fans out.
+    ///
+    /// Inline, a round costs Σ busy; fanned out, about `overhead` + max
+    /// busy. So a round fans out when Σ busy − max busy > `overhead`, and
+    /// when either side is unknown, which makes a query's first round fan
+    /// out and measure. It also fans out once the savings forgone inline
+    /// since the last fan-out, this round's included, exceed `overhead`:
+    /// re-measuring then costs at most what inline has already given up, so
+    /// one inflated measurement (a preempted barrier, a queue wait) cannot
+    /// keep slow arms inline for the rest of the query. Both sides are
+    /// durations the engine measured in this query; nothing is tuned.
+    fn fans_out(&self, saving: Option<Duration>) -> bool {
+        match (self.overhead, saving) {
+            (Some(overhead), Some(saving)) => self.forgone + saving > overhead,
+            _ => true,
+        }
+    }
+
+    /// Record a fanned-out round's wait beyond its slowest job.
+    fn measured(&mut self, overhead: Duration) {
+        self.overhead = Some(overhead);
+        self.forgone = Duration::ZERO;
+    }
+}
+
+/// What overlapping a round's arms would save on a free fan-out: Σ busy −
+/// max busy over their last step times, or `None` when an arm has not
+/// stepped yet.
+fn overlap_saving(last_busy: impl IntoIterator<Item = Option<Duration>>) -> Option<Duration> {
     let (mut sum, mut max) = (Duration::ZERO, Duration::ZERO);
     for busy in last_busy {
-        let Some(busy) = busy else {
-            return true;
-        };
+        let busy = busy?;
         sum += busy;
         max = max.max(busy);
     }
-    sum > overhead + max
+    Some(sum - max)
 }
 
 /// Start the jobs of every arm whose lease the pessimistic plan covers on
-/// the executor and wait for them, then set `overhead` to the wait beyond
+/// the executor and wait for them, then hand `placement` the wait beyond
 /// the slowest job. Returns, per arm index, the job's start mark and
 /// result; deferred arms, zero leases and failed runs have none. Empty
 /// when no arm had a job to start: the executor is not called and nothing
@@ -577,7 +606,7 @@ fn fan_out(
     budget: &TokenBudget,
     embedder: &SharedEmbedder,
     recording: bool,
-    overhead: &mut Option<Duration>,
+    placement: &mut Placement,
 ) -> Vec<Option<(Option<TickMark>, Computed)>> {
     let requests: Vec<usize> = targets.iter().map(|&(_, request)| request).collect();
     let mut starts = vec![None; runs.len()];
@@ -604,7 +633,7 @@ fn fan_out(
         .fold((Duration::ZERO, Duration::ZERO), |(sum, max), (d, _)| {
             (sum + d.busy, max.max(d.busy))
         });
-    *overhead = Some(wall.saturating_sub(slowest));
+    placement.measured(wall.saturating_sub(slowest));
     parallel_round_metrics(fan_out, busy, wall);
     let mut by_arm: Vec<Option<(Option<TickMark>, Computed)>> =
         (0..runs.len()).map(|_| None).collect();
@@ -867,9 +896,16 @@ mod tests {
     fn step(runs: &mut [ModelRun], request: usize, budget: &mut TokenBudget) -> Chunk {
         let embedder = llmms_embed::default_embedder();
         let trace = SpanContext::disabled();
-        generate_round(runs, &[(0, request)], budget, &embedder, &trace, &mut None)
-            .remove(0)
-            .1
+        generate_round(
+            runs,
+            &[(0, request)],
+            budget,
+            &embedder,
+            &trace,
+            &mut Placement::default(),
+        )
+        .remove(0)
+        .1
     }
 
     #[test]
@@ -973,9 +1009,14 @@ mod tests {
                     .map(|i| (i, 2))
                     .take(if round % 3 == 2 { 1 } else { usize::MAX })
                     .collect();
-                let mut overhead = (round % 3 == 1).then(|| Duration::from_secs(3600));
+                let mut placement = Placement {
+                    overhead: (round % 3 == 1).then(|| Duration::from_secs(3600)),
+                    forgone: Duration::ZERO,
+                };
                 if targets.len() >= 2 {
-                    let out = fans_out(overhead, targets.iter().map(|&(i, _)| fanned[i].last_busy));
+                    let out = placement.fans_out(overlap_saving(
+                        targets.iter().map(|&(i, _)| fanned[i].last_busy),
+                    ));
                     placed_out |= out;
                     placed_inline |= !out;
                 }
@@ -989,7 +1030,7 @@ mod tests {
                     &mut fanned_budget,
                     &embedder,
                     &trace,
-                    &mut overhead,
+                    &mut placement,
                 );
                 let one_by_one: Vec<(usize, Chunk)> = targets
                     .iter()
@@ -1014,25 +1055,56 @@ mod tests {
     fn placement_rule_fans_out_only_when_overlap_pays() {
         let us = Duration::from_micros;
         let ms = Duration::from_millis;
+        let measured = |overhead| Placement {
+            overhead: Some(overhead),
+            forgone: Duration::ZERO,
+        };
+        let saving = |busy: &[Duration]| overlap_saving(busy.iter().copied().map(Some));
         // No fan-out measured yet in this query: fan out and measure.
-        assert!(fans_out(None, [Some(us(1)), Some(us(1))]));
+        assert!(Placement::default().fans_out(saving(&[us(1), us(1)])));
         // A target that has not stepped yet: fan out.
-        assert!(fans_out(Some(us(40)), [Some(us(1)), None, Some(us(1))]));
+        assert_eq!(overlap_saving([Some(us(1)), None, Some(us(1))]), None);
+        assert!(measured(us(40)).fans_out(None));
         // Microsecond arms: overlapping three of them saves 2 µs of a
         // 40 µs fan-out, so the round computes inline. A tie stays inline.
-        assert!(!fans_out(Some(us(40)), [Some(us(1)); 3]));
-        assert!(!fans_out(Some(us(2)), [Some(us(1)); 3]));
+        assert!(!measured(us(40)).fans_out(saving(&[us(1); 3])));
+        assert!(!measured(us(2)).fans_out(saving(&[us(1); 3])));
         // Millisecond arms hide the fan-out cost: fan out.
-        assert!(fans_out(Some(us(40)), [Some(ms(8)); 4]));
+        assert!(measured(us(40)).fans_out(saving(&[ms(8); 4])));
         // One arm slowed down: fan out once the others' time exceeds the cost.
-        assert!(!fans_out(
-            Some(us(40)),
-            [Some(ms(8)), Some(us(1)), Some(us(1))]
-        ));
-        assert!(fans_out(
-            Some(us(40)),
-            [Some(ms(8)), Some(ms(8)), Some(us(1))]
-        ));
+        assert!(!measured(us(40)).fans_out(saving(&[ms(8), us(1), us(1)])));
+        assert!(measured(us(40)).fans_out(saving(&[ms(8), ms(8), us(1)])));
+    }
+
+    /// An inflated first measurement keeps slow arms inline for one round
+    /// only: the second inline round has forgone more than the fan-out cost
+    /// and re-measures.
+    #[test]
+    fn placement_re_measures_once_inline_has_forgone_a_fan_out() {
+        let ms = Duration::from_millis;
+        // Round 1's barrier stalled 30 ms; four 8-ms arms save 24 ms a round.
+        let mut placement = Placement::default();
+        placement.measured(ms(30));
+        let saving = overlap_saving([Some(ms(8)); 4]);
+        assert!(!placement.fans_out(saving));
+        placement.forgone += saving.unwrap();
+        assert!(placement.fans_out(saving));
+        // The fresh measurement resets what was forgone.
+        placement.measured(ms(1));
+        assert_eq!(placement.forgone, Duration::ZERO);
+        assert!(placement.fans_out(saving));
+        // Microsecond arms forgo 2 µs a round against a 40 µs fan-out, so
+        // they re-measure only after twenty inline rounds.
+        let us = Duration::from_micros;
+        let saving = overlap_saving([Some(us(1)); 3]);
+        placement.measured(us(40));
+        for _ in 0..19 {
+            assert!(!placement.fans_out(saving));
+            placement.forgone += saving.unwrap();
+        }
+        assert!(!placement.fans_out(saving), "a tie stays inline");
+        placement.forgone += saving.unwrap();
+        assert!(placement.fans_out(saving));
     }
 
     #[test]

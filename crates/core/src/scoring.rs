@@ -349,7 +349,7 @@ mod tests {
                 &mut budget,
                 &embedder,
                 &trace,
-                &mut None,
+                &mut crate::runpool::Placement::default(),
             );
         };
         // Two 3-arm OUA rounds (fanned out): every arm grew both times.

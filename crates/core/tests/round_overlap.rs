@@ -16,14 +16,11 @@
 //! This file holds one test, so its process owns the exec pool and the
 //! global metrics registry while it runs.
 
-use llmms_core::{Orchestrator, OrchestratorConfig, OuaConfig, Strategy};
-use llmms_embed::{Embedder, Embedding};
-use llmms_models::{
-    Chunk, DoneReason, GenOptions, GenerationSession, LanguageModel, ModelError, ModelInfo,
-    SharedModel,
-};
+mod common;
+
+use common::Recorded;
+use llmms_models::SharedModel;
 use llmms_obs::Registry;
-use std::sync::Arc;
 use std::time::Duration;
 
 const POOL: usize = 4;
@@ -31,126 +28,17 @@ const DELAY: Duration = Duration::from_millis(8);
 const ROUND_TOKENS: usize = 512;
 const ROUNDS: usize = 6;
 
-/// A model whose sessions sleep a fixed delay per chunk and never stop on
-/// their own.
-struct SlowSynth {
-    name: String,
-}
-
-impl LanguageModel for SlowSynth {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn info(&self) -> ModelInfo {
-        ModelInfo {
-            name: self.name.clone(),
-            family: "slow-synth".into(),
-            params_b: 0.0,
-            context_window: 1 << 20,
-            quantization: "none".into(),
-            decode_tokens_per_second: 100.0,
-        }
-    }
-
-    fn start(&self, _prompt: &str, options: &GenOptions) -> Box<dyn GenerationSession> {
-        Box::new(SlowSession {
-            cap: options.max_tokens,
-            text: String::new(),
-            tokens: 0,
-            done: None,
-        })
-    }
-}
-
-struct SlowSession {
-    cap: usize,
-    text: String,
-    tokens: usize,
-    done: Option<DoneReason>,
-}
-
-impl GenerationSession for SlowSession {
-    fn next_chunk(&mut self, max_tokens: usize) -> Result<Chunk, ModelError> {
-        if let Some(done) = self.done {
-            return Ok(Chunk::finished(done));
-        }
-        std::thread::sleep(DELAY);
-        let n = max_tokens.min(self.cap - self.tokens);
-        let chunk = " token".repeat(n);
-        self.text.push_str(&chunk);
-        self.tokens += n;
-        if self.tokens >= self.cap {
-            self.done = Some(DoneReason::Length);
-        }
-        Ok(Chunk {
-            text: chunk,
-            tokens: n,
-            done: self.done,
-        })
-    }
-
-    fn tokens_generated(&self) -> usize {
-        self.tokens
-    }
-
-    fn response_so_far(&self) -> &str {
-        &self.text
-    }
-
-    fn done_reason(&self) -> Option<DoneReason> {
-        self.done
-    }
-
-    fn simulated_latency(&self) -> Duration {
-        DELAY * u32::try_from(self.tokens.max(1)).unwrap_or(u32::MAX)
-    }
-
-    fn abort(&mut self) {
-        self.done = Some(DoneReason::Aborted);
-    }
-}
-
-/// Embeds every text to the same unit vector at no cost.
-struct ConstantEmbedder;
-
-impl Embedder for ConstantEmbedder {
-    fn dim(&self) -> usize {
-        2
-    }
-
-    fn embed(&self, _text: &str) -> Embedding {
-        Embedding::new(vec![1.0, 0.0])
-    }
-}
-
 fn histogram_sum(name: &str) -> f64 {
     Registry::global().histogram(name).metric.sum()
 }
 
 #[test]
 fn four_sleeping_arms_overlap_at_least_three_fold() {
+    // Every step of every arm sleeps: the first step is 1.
     let models: Vec<SharedModel> = (0..POOL)
-        .map(|i| {
-            Arc::new(SlowSynth {
-                name: format!("slow{i}"),
-            }) as SharedModel
-        })
+        .map(|i| Recorded::new(i, 1, DELAY) as SharedModel)
         .collect();
-    let orchestrator = Orchestrator::new(
-        Arc::new(ConstantEmbedder),
-        OrchestratorConfig {
-            strategy: Strategy::Oua(OuaConfig {
-                round_tokens: ROUND_TOKENS,
-                ..OuaConfig::default()
-            }),
-            token_budget: POOL * ROUND_TOKENS * ROUNDS,
-            temperature: 0.3,
-            seed: 42,
-            ..OrchestratorConfig::default()
-        },
-    );
-    let result = orchestrator
+    let result = common::oua(ROUND_TOKENS, POOL * ROUND_TOKENS * ROUNDS)
         .run(&models, "What is the capital of France?")
         .expect("the pool orchestrates");
     assert_eq!(result.rounds, ROUNDS, "an arm stopped or was pruned early");

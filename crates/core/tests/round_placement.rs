@@ -7,9 +7,9 @@
 //! step. Otherwise every arm computes on the calling thread.
 //!
 //! Every session here records the thread that ran each of its steps. All
-//! arms emit the same word stream, so scores tie exactly: no prune, no
-//! early win, and every round steps every arm, so a session's k-th step is
-//! round k. The embedder returns one constant vector at no cost.
+//! arms emit the same word stream, so every round steps every arm and a
+//! session's k-th step is round k. The embedder returns one constant vector
+//! at no cost.
 //!
 //! The cheap arms take well under a microsecond per step. Their placement
 //! does not depend on how fast the machine is: a fan-out whose jobs
@@ -18,153 +18,17 @@
 //! measures a cost of at least every job but the slowest. Either way the
 //! rule places the next round inline, which it does by the second round.
 
-use llmms_core::{Orchestrator, OrchestratorConfig, OuaConfig, Strategy};
-use llmms_embed::{Embedder, Embedding};
-use llmms_models::{
-    Chunk, DoneReason, GenOptions, GenerationSession, LanguageModel, ModelError, ModelInfo,
-    SharedModel,
-};
+mod common;
+
+use common::Recorded;
+use llmms_models::SharedModel;
 use llmms_obs::Registry;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::{self, ThreadId};
 use std::time::Duration;
 
 const POOL: usize = 4;
 const ROUND_TOKENS: usize = 8;
-
-/// The threads that ran one session's steps, in step order.
-type StepLog = Arc<Mutex<Vec<ThreadId>>>;
-
-/// A model whose sessions log the thread of every step and, from step
-/// `slow_from` on, sleep `delay` per chunk the way a remote backend holds
-/// the connection while it decodes.
-struct Recorded {
-    name: String,
-    slow_from: usize,
-    delay: Duration,
-    logs: Mutex<Vec<StepLog>>,
-}
-
-impl Recorded {
-    fn new(i: usize, slow_from: usize, delay: Duration) -> Arc<Recorded> {
-        Arc::new(Recorded {
-            name: format!("recorded{i}"),
-            slow_from,
-            delay,
-            logs: Mutex::new(Vec::new()),
-        })
-    }
-
-    fn steps(&self) -> Vec<ThreadId> {
-        let logs = self.logs.lock().unwrap();
-        assert_eq!(logs.len(), 1, "one session per query");
-        let steps = logs[0].lock().unwrap().clone();
-        steps
-    }
-}
-
-impl LanguageModel for Recorded {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn info(&self) -> ModelInfo {
-        ModelInfo {
-            name: self.name.clone(),
-            family: "recorded".into(),
-            params_b: 0.0,
-            context_window: 1 << 20,
-            quantization: "none".into(),
-            decode_tokens_per_second: 100.0,
-        }
-    }
-
-    fn start(&self, _prompt: &str, options: &GenOptions) -> Box<dyn GenerationSession> {
-        let log = StepLog::default();
-        self.logs.lock().unwrap().push(Arc::clone(&log));
-        Box::new(RecordedSession {
-            log,
-            slow_from: self.slow_from,
-            delay: self.delay,
-            cap: options.max_tokens,
-            text: String::new(),
-            tokens: 0,
-            done: None,
-        })
-    }
-}
-
-struct RecordedSession {
-    log: StepLog,
-    slow_from: usize,
-    delay: Duration,
-    cap: usize,
-    text: String,
-    tokens: usize,
-    done: Option<DoneReason>,
-}
-
-impl GenerationSession for RecordedSession {
-    fn next_chunk(&mut self, max_tokens: usize) -> Result<Chunk, ModelError> {
-        let step = {
-            let mut log = self.log.lock().unwrap();
-            log.push(thread::current().id());
-            log.len()
-        };
-        if let Some(done) = self.done {
-            return Ok(Chunk::finished(done));
-        }
-        if step >= self.slow_from {
-            thread::sleep(self.delay);
-        }
-        let n = max_tokens.min(self.cap - self.tokens);
-        for _ in 0..n {
-            self.text.push_str(" token");
-        }
-        self.tokens += n;
-        if self.tokens >= self.cap {
-            self.done = Some(DoneReason::Length);
-        }
-        Ok(Chunk {
-            text: " token".repeat(n),
-            tokens: n,
-            done: self.done,
-        })
-    }
-
-    fn tokens_generated(&self) -> usize {
-        self.tokens
-    }
-
-    fn response_so_far(&self) -> &str {
-        &self.text
-    }
-
-    fn done_reason(&self) -> Option<DoneReason> {
-        self.done
-    }
-
-    fn simulated_latency(&self) -> Duration {
-        Duration::ZERO
-    }
-
-    fn abort(&mut self) {
-        self.done = Some(DoneReason::Aborted);
-    }
-}
-
-/// Embeds every text to the same unit vector at no cost.
-struct ConstantEmbedder;
-
-impl Embedder for ConstantEmbedder {
-    fn dim(&self) -> usize {
-        2
-    }
-
-    fn embed(&self, _text: &str) -> Embedding {
-        Embedding::new(vec![1.0, 0.0])
-    }
-}
 
 /// Run one `rounds`-round OUA query over `models` on this thread and
 /// return, per round, whether any arm's step ran on another thread.
@@ -173,20 +37,7 @@ fn off_thread_rounds(models: &[Arc<Recorded>], rounds: usize) -> Vec<bool> {
         .iter()
         .map(|m| Arc::clone(m) as SharedModel)
         .collect();
-    let orchestrator = Orchestrator::new(
-        Arc::new(ConstantEmbedder),
-        OrchestratorConfig {
-            strategy: Strategy::Oua(OuaConfig {
-                round_tokens: ROUND_TOKENS,
-                ..OuaConfig::default()
-            }),
-            token_budget: POOL * ROUND_TOKENS * rounds,
-            temperature: 0.3,
-            seed: 42,
-            ..OrchestratorConfig::default()
-        },
-    );
-    let result = orchestrator
+    let result = common::oua(ROUND_TOKENS, POOL * ROUND_TOKENS * rounds)
         .run(&pool, "What is the capital of France?")
         .expect("the pool orchestrates");
     assert_eq!(result.rounds, rounds, "an arm stopped or was pruned early");

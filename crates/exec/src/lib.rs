@@ -412,23 +412,15 @@ where
 }
 
 /// Submit every task against an explicit [`QueryHandle`], bypassing the
-/// ambient scope. Benches and multi-query drivers use this directly. An
-/// empty batch touches nothing and waits for nothing.
+/// ambient scope. Benches and multi-query drivers use this directly.
 pub fn submit_on<T, F>(handle: &QueryHandle, tasks: Vec<(usize, F)>) -> Batch<T>
 where
     T: Send + 'static,
     F: FnOnce() -> T + Send + 'static,
 {
+    let p = pool();
     let (done_tx, done_rx) = unbounded::<(usize, Result<T, TaskPoisoned>)>();
     let n = tasks.len();
-    if n == 0 {
-        // Nothing to run: no lock, no worker, no wake.
-        return Batch {
-            rx: done_rx,
-            submitted: Vec::new(),
-        };
-    }
-    let p = pool();
     let mut submitted = Vec::with_capacity(n);
     let enqueued_us = now_us();
     let depth = {
@@ -481,12 +473,6 @@ mod tests {
         let tasks: Vec<(usize, _)> = (0..24).map(|i| (i, move || i * i)).collect();
         let done = values(submit_indexed(tasks).wait());
         assert_eq!(done, (0..24).map(|i| (i, i * i)).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn empty_batch_returns_at_once() {
-        let done = submit_indexed(Vec::<(usize, fn() -> usize)>::new()).wait();
-        assert!(done.is_empty());
     }
 
     #[test]
