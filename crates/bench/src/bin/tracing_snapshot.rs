@@ -83,7 +83,7 @@ fn query_traced(platform: &Platform, store: &TraceStore, id: u64) -> (f64, usize
     }
     root.end();
     let trace = tracer.finish().expect("recording tracer yields a trace");
-    let spans = trace.spans.len();
+    let spans = trace.len();
     store.offer(trace);
     (start.elapsed().as_secs_f64() * 1e6, spans)
 }

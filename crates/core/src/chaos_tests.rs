@@ -194,20 +194,22 @@ fn injected_faults_produce_error_spans_and_retained_traces() {
         assert!(r.degraded, "{}", r.strategy);
 
         let data = tracer.finish().expect("spans recorded");
+
+        let spans = data.clone().into_spans();
         assert!(data.is_connected(), "{}: disconnected tree", r.strategy);
         assert_eq!(data.worst_status(), SpanStatus::Error, "{}", r.strategy);
-        assert!(data.spans.iter().any(|s| s.name == "orchestrate"));
-        assert!(data.spans.iter().any(|s| s.name == "round"));
+        assert!(spans.iter().any(|s| s.name == "orchestrate"));
+        assert!(spans.iter().any(|s| s.name == "round"));
         // The stalled arm's last step is an error `arm` span, whichever
         // thread computed it: the stall is judged at the barrier, where the
         // span is recorded.
-        let wedged_error = data.spans.iter().any(|s| {
+        let wedged_error = spans.iter().any(|s| {
             s.status == SpanStatus::Error && s.name == "arm" && s.attr("model") == Some("wedged")
         });
         assert!(
             wedged_error,
             "{}: no error span for the stalled arm: {:?}",
-            r.strategy, data.spans
+            r.strategy, spans
         );
         // The crash arm is traced as an error whenever it actually failed
         // (Hybrid may legitimately prune it on score before chunk 3).
@@ -218,12 +220,12 @@ fn injected_faults_produce_error_spans_and_retained_traces() {
             .unwrap();
         if dies.failed {
             assert!(
-                data.spans.iter().any(|s| {
+                spans.iter().any(|s| {
                     s.status == SpanStatus::Error && s.attr("model") == Some("dies-midway")
                 }),
                 "{}: crash arm not traced: {:?}",
                 r.strategy,
-                data.spans
+                spans
             );
         }
 
@@ -280,7 +282,8 @@ fn single_target_and_fanned_out_rounds_trace_arms_alike() {
         root.end();
         assert_eq!(r.failed_models(), vec!["doomed"], "{}", r.strategy);
         let data = tracer.finish().expect("spans recorded");
-        let arms: Vec<_> = data.spans.iter().filter(|s| s.name == "arm").collect();
+        let spans = data.clone().into_spans();
+        let arms: Vec<_> = spans.iter().filter(|s| s.name == "arm").collect();
         let keys = |s: &llmms_obs::SpanRecord| s.attrs.iter().map(|(k, _)| k).collect::<Vec<_>>();
         for span in &arms {
             if span.status == SpanStatus::Error {
@@ -353,9 +356,9 @@ fn breaker_open_skip_is_traced_as_error_span() {
     root.end();
     assert!(r.degraded);
     let data = tracer.finish().expect("spans recorded");
+    let spans = data.clone().into_spans();
     assert!(data.is_connected());
-    let skip = data
-        .spans
+    let skip = spans
         .iter()
         .find(|s| s.name == "arm" && s.attr("model") == Some("chaos-tr-dying"))
         .expect("breaker-open arm span");

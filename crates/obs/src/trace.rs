@@ -18,6 +18,7 @@
 //! all its data, and the only shared mutation is a short `Mutex`-guarded
 //! `Vec::push` when a span ends.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -278,14 +279,22 @@ impl std::fmt::Display for AttrValue {
     }
 }
 
-/// Attribute list with two inline slots. Nearly every span in the taxonomy
-/// carries at most two attributes (`model` + `tokens`, `count` +
-/// `backoff_ms`, `k` + `hits`...), so the common case does not allocate at
-/// all; larger lists spill to a `Vec`.
+/// Attribute list. Nearly every span in the taxonomy carries at most two
+/// numeric attributes (`arm` + `tokens`, `round`, `k` + `hits`...), so the
+/// first two, when numeric, sit inline as bare `u64`s; text, and anything
+/// after it or after the second attribute, goes to an out-of-line list
+/// allocated only then. That keeps the list to 64 bytes and a
+/// [`SpanRecord`] to 120: a trace writes one record per span, and the
+/// cache lines of that buffer are most of what tracing costs a query.
 #[derive(Clone, Debug, Default)]
 pub struct AttrList {
-    inline: [Option<(&'static str, AttrValue)>; 2],
-    spill: Vec<(&'static str, AttrValue)>,
+    /// The leading numeric attributes; the first `nums_len` are set.
+    nums: [(&'static str, u64); 2],
+    nums_len: u8,
+    /// Everything from the first attribute that does not fit `nums` on. A
+    /// boxed slice is one word; a push re-allocates it, which only the rare
+    /// text-carrying spans (errors, routes) pay.
+    rest: Option<Box<[(&'static str, AttrValue)]>>,
 }
 
 impl AttrList {
@@ -298,32 +307,49 @@ impl AttrList {
     /// Append an attribute.
     #[inline]
     pub fn push(&mut self, key: &'static str, value: AttrValue) {
-        for slot in &mut self.inline {
-            if slot.is_none() {
-                *slot = Some((key, value));
-                return;
+        match value {
+            AttrValue::U64(n) if self.rest.is_none() && usize::from(self.nums_len) < 2 => {
+                self.nums[usize::from(self.nums_len)] = (key, n);
+                self.nums_len += 1;
+            }
+            value => {
+                let mut rest = self.rest.take().map_or_else(Vec::new, Vec::from);
+                rest.push((key, value));
+                self.rest = Some(rest.into_boxed_slice());
             }
         }
-        self.spill.push((key, value));
     }
 
     /// Iterate attributes in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, &AttrValue)> {
-        self.inline
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, Cow<'_, AttrValue>)> {
+        self.nums[..usize::from(self.nums_len)]
             .iter()
-            .flatten()
-            .map(|(k, v)| (*k, v))
-            .chain(self.spill.iter().map(|(k, v)| (*k, v)))
+            .map(|&(k, n)| (k, Cow::Owned(AttrValue::U64(n))))
+            .chain(
+                self.rest
+                    .iter()
+                    .flat_map(|rest| rest.iter())
+                    .map(|(k, v)| (*k, Cow::Borrowed(v))),
+            )
     }
 
     /// First value recorded under `key`.
-    pub fn get(&self, key: &str) -> Option<&AttrValue> {
+    pub fn get(&self, key: &str) -> Option<Cow<'_, AttrValue>> {
         self.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+    }
+
+    /// First text value recorded under `key` (text never sits inline).
+    fn get_str(&self, key: &str) -> Option<&str> {
+        self.rest
+            .iter()
+            .flat_map(|rest| rest.iter())
+            .find(|(k, _)| *k == key)
+            .and_then(|(_, v)| v.as_str())
     }
 
     /// Number of attributes.
     pub fn len(&self) -> usize {
-        self.inline.iter().flatten().count() + self.spill.len()
+        usize::from(self.nums_len) + self.rest.as_ref().map_or(0, |rest| rest.len())
     }
 
     /// Whether the list is empty.
@@ -361,12 +387,12 @@ impl SpanRecord {
 
     /// Look up a string-valued attribute by key.
     pub fn attr(&self, key: &str) -> Option<&str> {
-        self.attrs.get(key).and_then(AttrValue::as_str)
+        self.attrs.get_str(key)
     }
 
     /// Look up a number-valued attribute by key.
     pub fn attr_u64(&self, key: &str) -> Option<u64> {
-        self.attrs.get(key).and_then(AttrValue::as_u64)
+        self.attrs.get(key).and_then(|v| v.as_u64())
     }
 }
 
@@ -457,26 +483,24 @@ impl Tracer {
     /// into the tracer but will not appear in this snapshot.
     pub fn finish(&self) -> Option<TraceData> {
         let inner = self.inner.as_ref()?;
-        let mut spans = std::mem::take(&mut *inner.spans.lock().unwrap_or_else(|e| e.into_inner()));
+        let spans = std::mem::take(&mut *inner.spans.lock().unwrap_or_else(|e| e.into_inner()));
         if spans.is_empty() {
             return None;
         }
-        // Convert raw tick marks to microseconds since the trace epoch. The
-        // tick rate is calibrated against this trace's own wall-clock span,
+        // Calibrate the tick rate against this trace's own wall-clock span,
         // so no global TSC-frequency probe is needed and a wrong `tsc_khz`
-        // cannot skew the timeline.
+        // cannot skew the timeline. The records keep their raw ticks until
+        // someone reads their times: a trace that tail sampling drops is
+        // never converted.
         let elapsed_us = inner.epoch.elapsed().as_micros() as u64;
         let elapsed_ticks = now_ticks(&inner.epoch).saturating_sub(inner.epoch_ticks);
-        let us_per_tick = elapsed_us as f64 / elapsed_ticks.max(1) as f64;
-        for span in &mut spans {
-            let to_us =
-                |raw: u64| (raw.saturating_sub(inner.epoch_ticks) as f64 * us_per_tick) as u64;
-            span.start_us = to_us(span.start_us);
-            span.end_us = to_us(span.end_us).max(span.start_us);
-        }
         Some(TraceData {
             trace_id: inner.trace_id,
             spans,
+            clock: Some(TickClock {
+                epoch_ticks: inner.epoch_ticks,
+                us_per_tick: elapsed_us as f64 / elapsed_ticks.max(1) as f64,
+            }),
         })
     }
 }
@@ -878,21 +902,94 @@ pub struct TraceData {
     /// The trace id.
     pub trace_id: u64,
     /// All finished spans, in completion order (parent links give the tree).
-    pub spans: Vec<SpanRecord>,
+    /// While `clock` is set, their `start_us`/`end_us` hold raw clock ticks.
+    spans: Vec<SpanRecord>,
+    /// How to convert `spans` to microseconds; `None` once they are.
+    clock: Option<TickClock>,
+}
+
+/// One trace's tick → microsecond calibration (see [`Tracer::finish`]).
+#[derive(Clone, Copy, Debug)]
+struct TickClock {
+    epoch_ticks: u64,
+    us_per_tick: f64,
+}
+
+impl TickClock {
+    fn to_us(self, raw: u64) -> u64 {
+        (raw.saturating_sub(self.epoch_ticks) as f64 * self.us_per_tick) as u64
+    }
+
+    /// `(start_us, end_us)` of a record still in ticks.
+    fn span_us(self, span: &SpanRecord) -> (u64, u64) {
+        let start = self.to_us(span.start_us);
+        (start, self.to_us(span.end_us).max(start))
+    }
 }
 
 impl TraceData {
-    /// The root span (parent id 0), if one was recorded.
-    pub fn root(&self) -> Option<&SpanRecord> {
-        self.spans.iter().find(|s| s.parent == 0)
+    /// A trace over `spans` already timed in microseconds since the trace
+    /// epoch.
+    pub fn new(trace_id: u64, spans: Vec<SpanRecord>) -> TraceData {
+        TraceData {
+            trace_id,
+            spans,
+            clock: None,
+        }
     }
 
-    /// Total duration: the root span's duration, falling back to the latest
-    /// span end offset.
+    /// The spans, timed in microseconds (converted on first access).
+    pub fn spans(&mut self) -> &[SpanRecord] {
+        self.convert();
+        &self.spans
+    }
+
+    /// The spans, timed in microseconds.
+    pub fn into_spans(mut self) -> Vec<SpanRecord> {
+        self.convert();
+        self.spans
+    }
+
+    /// Number of spans.
+    pub fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// Whether the trace holds no span.
+    pub fn is_empty(&self) -> bool {
+        self.spans.is_empty()
+    }
+
+    fn convert(&mut self) {
+        if let Some(clock) = self.clock.take() {
+            for span in &mut self.spans {
+                (span.start_us, span.end_us) = clock.span_us(span);
+            }
+        }
+    }
+
+    /// `(start_us, end_us)` of one of this trace's records.
+    fn span_us(&self, span: &SpanRecord) -> (u64, u64) {
+        match self.clock {
+            Some(clock) => clock.span_us(span),
+            None => (span.start_us, span.end_us),
+        }
+    }
+
+    /// Total duration: the root span's (parent id 0) duration, falling back
+    /// to the latest span end offset.
     pub fn duration_us(&self) -> u64 {
-        match self.root() {
-            Some(root) => root.duration_us(),
-            None => self.spans.iter().map(|s| s.end_us).max().unwrap_or(0),
+        match self.spans.iter().find(|s| s.parent == 0) {
+            Some(root) => {
+                let (start, end) = self.span_us(root);
+                end.saturating_sub(start)
+            }
+            None => self
+                .spans
+                .iter()
+                .map(|s| self.span_us(s).1)
+                .max()
+                .unwrap_or(0),
         }
     }
 
@@ -923,7 +1020,8 @@ impl TraceData {
     /// spans are laid out on separate `tid` lanes so parallel arms render
     /// side by side.
     pub fn chrome_json(&self) -> String {
-        let mut order: Vec<&SpanRecord> = self.spans.iter().collect();
+        let spans = self.clone().into_spans();
+        let mut order: Vec<&SpanRecord> = spans.iter().collect();
         order.sort_by_key(|s| (s.start_us, s.end_us));
         // Greedy lane assignment: reuse the first lane that is free by the
         // time this span starts.
@@ -963,7 +1061,7 @@ impl TraceData {
                 out.push_str(",\"");
                 json_escape_into(&mut out, k);
                 out.push_str("\":");
-                match v {
+                match &*v {
                     AttrValue::U64(n) => out.push_str(&n.to_string()),
                     v => {
                         out.push('"');
@@ -999,6 +1097,14 @@ fn json_escape_into(out: &mut String, s: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn root_of(trace: &TraceData) -> &SpanRecord {
+        trace
+            .spans
+            .iter()
+            .find(|s| s.parent == 0)
+            .expect("a root span")
+    }
 
     #[test]
     fn trace_id_hex_round_trip() {
@@ -1041,7 +1147,7 @@ mod tests {
         assert_eq!(trace.trace_id, 7);
         assert_eq!(trace.spans.len(), 4);
         assert!(trace.is_connected());
-        let root = trace.root().unwrap();
+        let root = root_of(&trace);
         assert_eq!(root.name, "request");
         assert_eq!(root.attr("route"), Some("/api/query"));
         let orchestrate = trace
@@ -1105,7 +1211,7 @@ mod tests {
         root.end();
         let trace = tracer.finish().unwrap();
         let inner = trace.spans.iter().find(|s| s.name == "inner").unwrap();
-        assert_eq!(inner.parent, trace.root().unwrap().id);
+        assert_eq!(inner.parent, root_of(&trace).id);
     }
 
     #[test]
@@ -1154,6 +1260,69 @@ mod tests {
         assert!(json.contains("say \\\"hi\\\"\\nnewline\\\\slash"));
         // Two events -> exactly one separator at the top level.
         assert_eq!(json.matches("\"ph\":\"X\"").count(), 2);
+    }
+
+    /// A finished trace keeps raw ticks until its times are read; every
+    /// reader sees the same microsecond timeline.
+    #[test]
+    fn span_times_convert_once_and_agree() {
+        let tracer = Tracer::new(TraceId::from_raw(17));
+        let root = tracer.root_span("request");
+        let ctx = root.context();
+        let first = ctx.span("first");
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        first.end();
+        let second = ctx.span("second");
+        second.end();
+        root.end();
+        let mut trace = tracer.finish().unwrap();
+        let duration = trace.duration_us();
+        let spans = trace.spans().to_vec();
+        let times = |spans: &[SpanRecord]| -> Vec<(u64, u64)> {
+            spans.iter().map(|s| (s.start_us, s.end_us)).collect()
+        };
+        assert_eq!(times(trace.spans()), times(&spans), "converted once");
+        let by_name = |name| spans.iter().find(|s| s.name == name).unwrap();
+        let (root, first, second) = (by_name("request"), by_name("first"), by_name("second"));
+        assert_eq!(root.duration_us(), duration);
+        assert!(first.duration_us() >= 1_500, "{first:?}");
+        assert!(root.duration_us() >= first.duration_us());
+        assert!(root.start_us <= first.start_us && first.end_us <= second.start_us);
+        assert!(second.end_us <= root.end_us);
+        assert_eq!(TraceData::new(17, spans.clone()).duration_us(), duration);
+    }
+
+    /// Up to two leading numbers sit inline; text and whatever follows it
+    /// spill, and iteration keeps insertion order either way.
+    #[test]
+    fn attr_list_keeps_insertion_order() {
+        let mut attrs = AttrList::new();
+        attrs.push("arm", 3u64.into());
+        attrs.push("model", "m".into());
+        attrs.push("tokens", 8u64.into());
+        let keys: Vec<&str> = attrs.iter().map(|(k, _)| k).collect();
+        assert_eq!(keys, ["arm", "model", "tokens"]);
+        assert_eq!(attrs.len(), 3);
+        let record = SpanRecord {
+            id: 1,
+            parent: 0,
+            name: "arm",
+            start_us: 0,
+            end_us: 0,
+            status: SpanStatus::Ok,
+            attrs,
+        };
+        assert_eq!(record.attr_u64("arm"), Some(3));
+        assert_eq!(record.attr_u64("tokens"), Some(8));
+        assert_eq!(record.attr("model"), Some("m"));
+        assert_eq!(record.attr("arm"), None);
+        let mut numbers = AttrList::new();
+        for (k, n) in [("a", 1u64), ("b", 2), ("c", 3)] {
+            numbers.push(k, n.into());
+        }
+        let pairs: Vec<(&str, Option<u64>)> =
+            numbers.iter().map(|(k, v)| (k, v.as_u64())).collect();
+        assert_eq!(pairs, [("a", Some(1)), ("b", Some(2)), ("c", Some(3))]);
     }
 
     #[test]

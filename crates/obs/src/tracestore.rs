@@ -206,19 +206,22 @@ impl TraceStore {
         };
         stats.retained += 1;
 
-        let route = trace
-            .root()
+        let winner = trace.attr("winner").map(str::to_owned);
+        let trace_id = trace.trace_id;
+        let spans = trace.into_spans();
+        let route = spans
+            .iter()
+            .find(|s| s.parent == 0)
             .map(|r| r.attr("route").unwrap_or(r.name).to_owned())
             .unwrap_or_else(|| "unknown".to_owned());
-        let winner = trace.attr("winner").map(str::to_owned);
         let stored = StoredTrace {
-            trace_id: trace.trace_id,
+            trace_id,
             route,
             status,
             duration_us,
             winner,
             class,
-            spans: trace.spans,
+            spans,
         };
 
         let mut traces = self.traces.lock().expect("trace store lock");
@@ -370,9 +373,9 @@ mod tests {
     fn trace_with(id: u64, status: SpanStatus, duration_us: u64) -> TraceData {
         let mut attrs = crate::trace::AttrList::new();
         attrs.push("route", "/api/query".into());
-        TraceData {
-            trace_id: id,
-            spans: vec![SpanRecord {
+        TraceData::new(
+            id,
+            vec![SpanRecord {
                 id: 1,
                 parent: 0,
                 name: "request",
@@ -381,7 +384,7 @@ mod tests {
                 status,
                 attrs,
             }],
-        }
+        )
     }
 
     #[test]

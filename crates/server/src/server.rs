@@ -715,10 +715,7 @@ fn handle_trace_get(sink: &mut OutboxWriter, request: &Request) -> u16 {
         return respond_json(sink, 404, &json!({ "error": "trace not retained" }));
     };
     if request.query.get("format").map(String::as_str) == Some("chrome") {
-        let data = TraceData {
-            trace_id: stored.trace_id,
-            spans: stored.spans,
-        };
+        let data = TraceData::new(stored.trace_id, stored.spans);
         // Chrome JSON Object Format, loadable as-is in chrome://tracing
         // and Perfetto.
         let body = format!("{{\"traceEvents\":{}}}", data.chrome_json());
