@@ -283,19 +283,21 @@ impl std::fmt::Display for AttrValue {
 /// numeric attributes (`arm` + `tokens`, `round`, `k` + `hits`...), so the
 /// first two, when numeric, sit inline as bare `u64`s; text, and anything
 /// after it or after the second attribute, goes to an out-of-line list
-/// allocated only then. That keeps the list to 64 bytes and a
-/// [`SpanRecord`] to 120: a trace writes one record per span, and the
+/// allocated only then. That keeps the list to 56 bytes and a
+/// [`SpanRecord`] to 112: a trace writes one record per span, and the
 /// cache lines of that buffer are most of what tracing costs a query.
 #[derive(Clone, Debug, Default)]
 pub struct AttrList {
-    /// The leading numeric attributes; the first `nums_len` are set.
+    /// The leading numeric attributes; a slot with an empty key is unset.
     nums: [(&'static str, u64); 2],
-    nums_len: u8,
-    /// Everything from the first attribute that does not fit `nums` on. A
-    /// boxed slice is one word; a push re-allocates it, which only the rare
-    /// text-carrying spans (errors, routes) pay.
-    rest: Option<Box<[(&'static str, AttrValue)]>>,
+    /// Everything from the first attribute that does not fit `nums` on.
+    rest: Option<Box<Spill>>,
 }
+
+/// The out-of-line part of an [`AttrList`], boxed so the list pays one word
+/// for it.
+#[derive(Clone, Debug, Default)]
+struct Spill(Vec<(&'static str, AttrValue)>);
 
 impl AttrList {
     /// An empty list (no allocation).
@@ -307,30 +309,36 @@ impl AttrList {
     /// Append an attribute.
     #[inline]
     pub fn push(&mut self, key: &'static str, value: AttrValue) {
-        match value {
-            AttrValue::U64(n) if self.rest.is_none() && usize::from(self.nums_len) < 2 => {
-                self.nums[usize::from(self.nums_len)] = (key, n);
-                self.nums_len += 1;
-            }
-            value => {
-                let mut rest = self.rest.take().map_or_else(Vec::new, Vec::from);
-                rest.push((key, value));
-                self.rest = Some(rest.into_boxed_slice());
+        if let AttrValue::U64(n) = value {
+            let free = self.nums.iter().position(|(k, _)| k.is_empty());
+            if let (None, Some(slot), false) = (&self.rest, free, key.is_empty()) {
+                self.nums[slot] = (key, n);
+                return;
             }
         }
+        self.rest
+            .get_or_insert_with(Box::default)
+            .0
+            .push((key, value));
+    }
+
+    /// The inline numeric attributes that are set.
+    fn nums(&self) -> &[(&'static str, u64)] {
+        let set = self.nums.iter().take_while(|(k, _)| !k.is_empty()).count();
+        &self.nums[..set]
+    }
+
+    /// The out-of-line attributes.
+    fn rest(&self) -> &[(&'static str, AttrValue)] {
+        self.rest.as_ref().map_or(&[], |rest| &rest.0)
     }
 
     /// Iterate attributes in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, Cow<'_, AttrValue>)> {
-        self.nums[..usize::from(self.nums_len)]
+        self.nums()
             .iter()
             .map(|&(k, n)| (k, Cow::Owned(AttrValue::U64(n))))
-            .chain(
-                self.rest
-                    .iter()
-                    .flat_map(|rest| rest.iter())
-                    .map(|(k, v)| (*k, Cow::Borrowed(v))),
-            )
+            .chain(self.rest().iter().map(|(k, v)| (*k, Cow::Borrowed(v))))
     }
 
     /// First value recorded under `key`.
@@ -340,16 +348,15 @@ impl AttrList {
 
     /// First text value recorded under `key` (text never sits inline).
     fn get_str(&self, key: &str) -> Option<&str> {
-        self.rest
+        self.rest()
             .iter()
-            .flat_map(|rest| rest.iter())
             .find(|(k, _)| *k == key)
             .and_then(|(_, v)| v.as_str())
     }
 
     /// Number of attributes.
     pub fn len(&self) -> usize {
-        usize::from(self.nums_len) + self.rest.as_ref().map_or(0, |rest| rest.len())
+        self.nums().len() + self.rest().len()
     }
 
     /// Whether the list is empty.
@@ -1323,6 +1330,12 @@ mod tests {
         let pairs: Vec<(&str, Option<u64>)> =
             numbers.iter().map(|(k, v)| (k, v.as_u64())).collect();
         assert_eq!(pairs, [("a", Some(1)), ("b", Some(2)), ("c", Some(3))]);
+        // An empty key cannot mark an inline slot set, so it spills.
+        let mut unnamed = AttrList::new();
+        unnamed.push("", 1u64.into());
+        unnamed.push("b", 2u64.into());
+        let keys: Vec<&str> = unnamed.iter().map(|(k, _)| k).collect();
+        assert_eq!(keys, ["", "b"]);
     }
 
     #[test]
