@@ -301,9 +301,11 @@ impl Orchestrator {
         }
         drop(tguard);
         if tspan.is_recording() {
-            tspan.attr_with("strategy", || result.strategy.clone());
+            // Numbers first: a span's first two numeric attributes sit in
+            // its record; text goes to one list allocated beside it.
             tspan.set_attr("rounds", result.rounds);
             tspan.set_attr("total_tokens", result.total_tokens);
+            tspan.set_attr("strategy", config.strategy.label());
             // Arm spans carry a numeric `arm` index; this comma-joined list
             // (in arm order) is the per-trace index→model binding.
             tspan.attr_with("arms", || {

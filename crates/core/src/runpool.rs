@@ -478,8 +478,10 @@ fn compute_marked(
 /// Tracing: the barrier records one `"arm"` span per target through
 /// [`SpanContext::record_span`]. A worker only reads the clock when its job
 /// finishes (8 bytes back with the result), so span records, attributes and
-/// the tracer's shared cachelines stay on the calling thread. Spans never
-/// feed back into budget, scoring or event state.
+/// the tracer's shared cachelines stay on the calling thread. Jobs computed
+/// on the calling thread tile: each arm span starts at the previous one's
+/// end, which also covers that step's commit. Spans never feed back into
+/// budget, scoring or event state.
 pub(crate) fn generate_round(
     runs: &mut [ModelRun],
     targets: &[(usize, usize)],
@@ -507,18 +509,21 @@ pub(crate) fn generate_round(
             inline_round_metric();
         }
     }
+    // Jobs computed here run back to back, so each one's arm span starts
+    // where the previous one's ended: one clock read per step.
+    let mut last_end = None;
     targets
         .iter()
         .map(|&(i, request)| {
-            let (start, computed) = match fanned.get_mut(i).and_then(Option::take) {
-                Some((start, computed)) => (start, Some(computed)),
+            let (start, computed, here) = match fanned.get_mut(i).and_then(Option::take) {
+                Some((start, computed)) => (start, Some(computed), false),
                 None => {
-                    let start = recording.then(tick_mark);
+                    let start = last_end.or_else(|| recording.then(tick_mark));
                     let lease = request.min(budget.remaining());
                     let computed = runs[i].begin_generate(lease).map(|job| {
                         llmms_exec::run_contained(|| compute_marked(job, embedder, recording))
                     });
-                    (start, computed)
+                    (start, computed, true)
                 }
             };
             let run = &mut runs[i];
@@ -535,6 +540,7 @@ pub(crate) fn generate_round(
             if let (Some(start), Some(end)) = (start, end) {
                 record_arm_span(trace, i, run, &chunk, start, end, retry);
             }
+            last_end = if here { end } else { None };
             (i, chunk)
         })
         .collect()

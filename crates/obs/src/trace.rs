@@ -911,7 +911,7 @@ pub struct TraceData {
     /// All finished spans, in completion order (parent links give the tree).
     /// While `clock` is set, their `start_us`/`end_us` hold raw clock ticks.
     spans: Vec<SpanRecord>,
-    /// How to convert `spans` to microseconds; `None` once they are.
+    /// How to convert `spans` to microseconds; `None` when they already are.
     clock: Option<TickClock>,
 }
 
@@ -945,15 +945,13 @@ impl TraceData {
         }
     }
 
-    /// The spans, timed in microseconds (converted on first access).
-    pub fn spans(&mut self) -> &[SpanRecord] {
-        self.convert();
-        &self.spans
-    }
-
     /// The spans, timed in microseconds.
     pub fn into_spans(mut self) -> Vec<SpanRecord> {
-        self.convert();
+        if let Some(clock) = self.clock {
+            for span in &mut self.spans {
+                (span.start_us, span.end_us) = clock.span_us(span);
+            }
+        }
         self.spans
     }
 
@@ -965,14 +963,6 @@ impl TraceData {
     /// Whether the trace holds no span.
     pub fn is_empty(&self) -> bool {
         self.spans.is_empty()
-    }
-
-    fn convert(&mut self) {
-        if let Some(clock) = self.clock.take() {
-            for span in &mut self.spans {
-                (span.start_us, span.end_us) = clock.span_us(span);
-            }
-        }
     }
 
     /// `(start_us, end_us)` of one of this trace's records.
@@ -1269,8 +1259,8 @@ mod tests {
         assert_eq!(json.matches("\"ph\":\"X\"").count(), 2);
     }
 
-    /// A finished trace keeps raw ticks until its times are read; every
-    /// reader sees the same microsecond timeline.
+    /// A finished trace keeps raw ticks until its spans are taken; the
+    /// root's duration agrees with the converted timeline.
     #[test]
     fn span_times_convert_once_and_agree() {
         let tracer = Tracer::new(TraceId::from_raw(17));
@@ -1282,13 +1272,9 @@ mod tests {
         let second = ctx.span("second");
         second.end();
         root.end();
-        let mut trace = tracer.finish().unwrap();
+        let trace = tracer.finish().unwrap();
         let duration = trace.duration_us();
-        let spans = trace.spans().to_vec();
-        let times = |spans: &[SpanRecord]| -> Vec<(u64, u64)> {
-            spans.iter().map(|s| (s.start_us, s.end_us)).collect()
-        };
-        assert_eq!(times(trace.spans()), times(&spans), "converted once");
+        let spans = trace.into_spans();
         let by_name = |name| spans.iter().find(|s| s.name == name).unwrap();
         let (root, first, second) = (by_name("request"), by_name("first"), by_name("second"));
         assert_eq!(root.duration_us(), duration);
