@@ -1056,6 +1056,51 @@ mod tests {
         assert!(placed_out && placed_inline, "a placement never ran");
     }
 
+    /// Jobs computed on the calling thread tile: each arm span starts where
+    /// the previous one ended.
+    #[test]
+    fn inline_arm_spans_tile() {
+        use llmms_obs::{TraceId, Tracer};
+        let embedder = llmms_embed::default_embedder();
+        let mut runs = start(&pool());
+        let mut budget = TokenBudget::new(10_000);
+        let targets: Vec<(usize, usize)> = (0..runs.len()).map(|i| (i, 2)).collect();
+        // The first round fans out: no arm has stepped yet.
+        let trace = SpanContext::disabled();
+        let mut placement = Placement::default();
+        generate_round(
+            &mut runs,
+            &targets,
+            &mut budget,
+            &embedder,
+            &trace,
+            &mut placement,
+        );
+        let tracer = Tracer::new(TraceId::from_raw(7));
+        let round = tracer.root_span("round");
+        let mut placement = Placement {
+            overhead: Some(Duration::from_secs(3600)),
+            forgone: Duration::ZERO,
+        };
+        let trace = round.context();
+        generate_round(
+            &mut runs,
+            &targets,
+            &mut budget,
+            &embedder,
+            &trace,
+            &mut placement,
+        );
+        drop(trace);
+        round.end();
+        let spans = tracer.finish().expect("spans recorded").into_spans();
+        let arms: Vec<_> = spans.iter().filter(|s| s.name == "arm").collect();
+        assert_eq!(arms.len(), targets.len());
+        for pair in arms.windows(2) {
+            assert_eq!(pair[1].start_us, pair[0].end_us, "{arms:?}");
+        }
+    }
+
     /// The placement rule on synthetic durations.
     #[test]
     fn placement_rule_fans_out_only_when_overlap_pays() {
