@@ -479,9 +479,9 @@ fn compute_marked(
 /// [`SpanContext::record_span`]. A worker only reads the clock when its job
 /// finishes (8 bytes back with the result), so span records, attributes and
 /// the tracer's shared cachelines stay on the calling thread. Jobs computed
-/// on the calling thread tile: each arm span starts at the previous one's
-/// end, which also covers that step's commit. Spans never feed back into
-/// budget, scoring or event state.
+/// on the calling thread tile: each arm span starts where the previous one
+/// ended, so it also covers the previous step's commit and costs one clock
+/// read. Spans never feed back into budget, scoring or event state.
 pub(crate) fn generate_round(
     runs: &mut [ModelRun],
     targets: &[(usize, usize)],
@@ -509,8 +509,6 @@ pub(crate) fn generate_round(
             inline_round_metric();
         }
     }
-    // Jobs computed here run back to back, so each one's arm span starts
-    // where the previous one's ended: one clock read per step.
     let mut last_end = None;
     targets
         .iter()
