@@ -16,11 +16,11 @@
 //! | 3     | + token budget capped, RAG re-retrieval skipped            |
 //!
 //! Each level includes everything below it. The controller steps at most
-//! one level per observation and holds a level for
-//! [`BrownoutConfig::min_dwell_ms`] before moving again; entering needs
-//! pressure above [`BrownoutConfig::enter_pressure`], leaving needs it
-//! below [`BrownoutConfig::exit_pressure`] — the gap is the hysteresis
-//! band that keeps the controller from flapping at the threshold.
+//! one level per observation and holds a level for its dwell time before
+//! moving again; entering needs pressure at or above `ENTER_PRESSURE`
+//! (0.75), leaving needs it at or below `EXIT_PRESSURE` (0.5) — the gap
+//! is the hysteresis band that keeps the controller from flapping at the
+//! threshold.
 
 use serde::{Deserialize, Serialize};
 use std::sync::Mutex;
@@ -29,27 +29,21 @@ use std::time::Instant;
 /// The deepest degradation level the ladder defines.
 pub const MAX_LEVEL: u8 = 3;
 
-/// Brownout thresholds and per-level degradation caps.
+/// Pressure at or above which the controller steps one level deeper.
+const ENTER_PRESSURE: f64 = 0.75;
+
+/// Pressure at or below which the controller steps one level back.
+const EXIT_PRESSURE: f64 = 0.5;
+
+const _: () = assert!(EXIT_PRESSURE < ENTER_PRESSURE, "the hysteresis band exists");
+
+/// Per-level degradation caps.
 ///
-/// Two sides read it. The [`BrownoutController`] reads the thresholds
-/// (`enter_pressure`, `exit_pressure`, `min_dwell_ms`); the server owns one,
-/// built from `BrownoutConfig::default()`, and feeds it pressure. The
-/// orchestrator reads the caps (`level1_max_arms`, `level2_max_rounds`,
-/// `level3_token_budget`) from [`crate::OrchestratorConfig::brownout`], so
-/// they deploy with the rest of the orchestration policy.
+/// The orchestrator reads them from [`crate::OrchestratorConfig::brownout`],
+/// so they deploy with the rest of the orchestration policy; the level they
+/// apply at comes from the serving layer's [`BrownoutController`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BrownoutConfig {
-    /// Pressure at or above which the controller steps one level deeper.
-    #[serde(default = "default_enter_pressure")]
-    pub enter_pressure: f64,
-    /// Pressure at or below which the controller steps one level back.
-    /// Must sit below `enter_pressure`; the gap is the hysteresis band.
-    #[serde(default = "default_exit_pressure")]
-    pub exit_pressure: f64,
-    /// Minimum time at a level before the controller may step again, in
-    /// milliseconds. Bounds the flap rate regardless of signal noise.
-    #[serde(default = "default_min_dwell_ms")]
-    pub min_dwell_ms: u64,
     /// Level ≥ 1: the arm pool is cut to its first this-many models.
     #[serde(default = "default_level1_max_arms")]
     pub level1_max_arms: usize,
@@ -60,18 +54,6 @@ pub struct BrownoutConfig {
     /// (and the platform skips RAG re-retrieval).
     #[serde(default = "default_level3_token_budget")]
     pub level3_token_budget: usize,
-}
-
-fn default_enter_pressure() -> f64 {
-    0.75
-}
-
-fn default_exit_pressure() -> f64 {
-    0.5
-}
-
-fn default_min_dwell_ms() -> u64 {
-    500
 }
 
 fn default_level1_max_arms() -> usize {
@@ -89,9 +71,6 @@ fn default_level3_token_budget() -> usize {
 impl Default for BrownoutConfig {
     fn default() -> Self {
         Self {
-            enter_pressure: default_enter_pressure(),
-            exit_pressure: default_exit_pressure(),
-            min_dwell_ms: default_min_dwell_ms(),
             level1_max_arms: default_level1_max_arms(),
             level2_max_rounds: default_level2_max_rounds(),
             level3_token_budget: default_level3_token_budget(),
@@ -103,13 +82,14 @@ impl Default for BrownoutConfig {
 ///
 /// Each component is normalized so `1.0` means "at the limit"; the
 /// composite [`pressure`](PressureInputs::pressure) is the worst of the
-/// three, because any single saturated resource is enough to need relief.
+/// four, because any single saturated resource is enough to need relief.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PressureInputs {
     /// Requests currently being served.
     pub in_flight: usize,
-    /// Serving capacity (worker threads or the in-flight cap, whichever
-    /// binds first).
+    /// Serving capacity. The server passes its in-flight cap
+    /// (`ServerConfig::max_in_flight`) alone, not the dispatch worker
+    /// count, although only requests on a worker count as in flight.
     pub capacity: usize,
     /// Connections waiting in the acceptor queue.
     pub queued: usize,
@@ -122,9 +102,8 @@ pub struct PressureInputs {
     /// Jobs queued (not yet dispatched) on the shared cross-query executor
     /// ([`llmms_exec::queue_depth`]). 0 when the caller does not sample it.
     pub sched_depth: usize,
-    /// Executor queue depth the operator considers healthy. 0 disables the
-    /// component, so callers that never configure it see no behaviour
-    /// change.
+    /// Executor queue depth that counts as pressure 1.0 (the server passes
+    /// 1024). 0 disables the component.
     pub sched_depth_target: usize,
 }
 
@@ -160,26 +139,24 @@ struct ControllerState {
 /// [`observe`]: BrownoutController::observe
 /// [`level`]: BrownoutController::level
 pub struct BrownoutController {
-    config: BrownoutConfig,
+    /// Minimum time at a level before the controller may step again, in
+    /// milliseconds. Bounds the flap rate regardless of signal noise.
+    min_dwell_ms: u64,
     state: Mutex<ControllerState>,
 }
 
 impl BrownoutController {
-    /// A controller at level 0.
-    pub fn new(config: BrownoutConfig) -> Self {
+    /// A controller at level 0 that holds each level for at least
+    /// `min_dwell_ms` milliseconds.
+    pub fn new(min_dwell_ms: u64) -> Self {
         Self {
-            config,
+            min_dwell_ms,
             state: Mutex::new(ControllerState {
                 level: 0,
                 changed_at: Instant::now(),
                 pressure: 0.0,
             }),
         }
-    }
-
-    /// The thresholds and caps this controller runs with.
-    pub fn config(&self) -> &BrownoutConfig {
-        &self.config
     }
 
     /// Feed one pressure observation; returns the (possibly updated)
@@ -189,11 +166,11 @@ impl BrownoutController {
         let pressure = inputs.pressure();
         let mut state = self.state.lock().expect("brownout state poisoned");
         state.pressure = pressure;
-        let dwelled = state.changed_at.elapsed().as_millis() as u64 >= self.config.min_dwell_ms;
+        let dwelled = state.changed_at.elapsed().as_millis() as u64 >= self.min_dwell_ms;
         let level = state.level;
-        let next = if pressure >= self.config.enter_pressure && level < MAX_LEVEL && dwelled {
+        let next = if pressure >= ENTER_PRESSURE && level < MAX_LEVEL && dwelled {
             level + 1
-        } else if pressure <= self.config.exit_pressure && level > 0 && dwelled {
+        } else if pressure <= EXIT_PRESSURE && level > 0 && dwelled {
             level - 1
         } else {
             level
@@ -235,7 +212,7 @@ impl BrownoutController {
     fn force_dwell_elapsed(&self) {
         let mut state = self.state.lock().unwrap();
         state.changed_at = Instant::now()
-            - std::time::Duration::from_millis(self.config.min_dwell_ms.saturating_mul(2).max(1));
+            - std::time::Duration::from_millis(self.min_dwell_ms.saturating_mul(2).max(1));
     }
 }
 
@@ -257,10 +234,7 @@ mod tests {
     }
 
     fn controller() -> BrownoutController {
-        BrownoutController::new(BrownoutConfig {
-            min_dwell_ms: 0,
-            ..BrownoutConfig::default()
-        })
+        BrownoutController::new(0)
     }
 
     #[test]
@@ -308,10 +282,7 @@ mod tests {
 
     #[test]
     fn dwell_time_gates_every_step() {
-        let c = BrownoutController::new(BrownoutConfig {
-            min_dwell_ms: 60_000,
-            ..BrownoutConfig::default()
-        });
+        let c = BrownoutController::new(60_000);
         // A fresh controller has not dwelled at level 0 yet.
         assert_eq!(c.observe(pressure_of(2.0)), 0);
         c.force_dwell_elapsed();
@@ -324,10 +295,7 @@ mod tests {
 
     #[test]
     fn recovery_also_respects_dwell() {
-        let c = BrownoutController::new(BrownoutConfig {
-            min_dwell_ms: 60_000,
-            ..BrownoutConfig::default()
-        });
+        let c = BrownoutController::new(60_000);
         c.force_dwell_elapsed();
         assert_eq!(c.observe(pressure_of(2.0)), 1);
         assert_eq!(
@@ -351,6 +319,5 @@ mod tests {
     fn config_serde_defaults() {
         let c: BrownoutConfig = serde_json::from_str("{}").unwrap();
         assert_eq!(c, BrownoutConfig::default());
-        assert!(c.exit_pressure < c.enter_pressure, "hysteresis band exists");
     }
 }

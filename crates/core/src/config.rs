@@ -4,68 +4,6 @@ use crate::reward::RewardWeights;
 use llmms_models::BreakerConfig;
 use serde::{Deserialize, Serialize};
 
-/// How [`crate::Orchestrator`] handles model-backend failures mid-query.
-///
-/// Transient errors are retried with capped exponential backoff
-/// (`base · 2^attempt`, clamped to `cap`); when the retries are exhausted —
-/// or the error was fatal, or the session stalls for `stall_limit`
-/// consecutive empty chunks — the model is marked
-/// [`llmms_models::DoneReason::Failed`] and the query continues with the
-/// survivors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RetryConfig {
-    /// Transient-error retries per generate call before giving up.
-    #[serde(default = "default_max_retries")]
-    pub max_retries: u32,
-    /// First backoff delay, in milliseconds.
-    #[serde(default = "default_backoff_base_ms")]
-    pub backoff_base_ms: u64,
-    /// Backoff ceiling, in milliseconds.
-    #[serde(default = "default_backoff_cap_ms")]
-    pub backoff_cap_ms: u64,
-    /// Consecutive empty, non-final chunks before a session counts as
-    /// stalled and is failed (the analogue of a request timeout).
-    #[serde(default = "default_stall_limit")]
-    pub stall_limit: u32,
-}
-
-fn default_max_retries() -> u32 {
-    2
-}
-
-fn default_backoff_base_ms() -> u64 {
-    50
-}
-
-fn default_backoff_cap_ms() -> u64 {
-    400
-}
-
-fn default_stall_limit() -> u32 {
-    3
-}
-
-impl Default for RetryConfig {
-    fn default() -> Self {
-        Self {
-            max_retries: default_max_retries(),
-            backoff_base_ms: default_backoff_base_ms(),
-            backoff_cap_ms: default_backoff_cap_ms(),
-            stall_limit: default_stall_limit(),
-        }
-    }
-}
-
-impl RetryConfig {
-    /// The capped exponential delay before retry number `attempt` (1-based).
-    pub fn backoff_delay(&self, attempt: u32) -> std::time::Duration {
-        let exp = self
-            .backoff_base_ms
-            .saturating_mul(1u64 << attempt.saturating_sub(1).min(16));
-        std::time::Duration::from_millis(exp.min(self.backoff_cap_ms))
-    }
-}
-
 /// Parameters of the Overperformers–Underperformers Algorithm (Alg. 1).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OuaConfig {
@@ -213,9 +151,6 @@ pub struct OrchestratorConfig {
     /// Record an [`crate::events::OrchestrationEvent`] trace in the result
     /// (the paper's "transparent orchestration logs" extension, §9.5).
     pub record_events: bool,
-    /// Transient-error retry / stall policy.
-    #[serde(default)]
-    pub retry: RetryConfig,
     /// Per-model circuit-breaker policy, consulted when sessions start.
     #[serde(default)]
     pub breaker: BreakerConfig,
@@ -246,7 +181,6 @@ impl Default for OrchestratorConfig {
             temperature: 0.7,
             seed: 0,
             record_events: false,
-            retry: RetryConfig::default(),
             breaker: BreakerConfig::default(),
             query_deadline_ms: None,
             max_rounds: None,
@@ -303,13 +237,6 @@ impl OrchestratorConfigBuilder {
     #[must_use]
     pub fn record_events(mut self, record: bool) -> Self {
         self.config.record_events = record;
-        self
-    }
-
-    /// Set the transient-error retry / stall policy.
-    #[must_use]
-    pub fn retry(mut self, retry: RetryConfig) -> Self {
-        self.config.retry = retry;
         self
     }
 
@@ -431,7 +358,6 @@ mod tests {
             "round_deadline_ms": 50
         }"#;
         let c: OrchestratorConfig = serde_json::from_str(json).unwrap();
-        assert_eq!(c.retry, RetryConfig::default());
         assert_eq!(c.breaker, BreakerConfig::default());
         assert_eq!(c.query_deadline_ms, None);
         // Overload-control knobs postdate everything above; old configs get
@@ -440,6 +366,42 @@ mod tests {
         assert_eq!(c.brownout, crate::brownout::BrownoutConfig::default());
         assert_eq!(c.token_budget, 512);
         assert_eq!(c.strategy, Strategy::Single);
+
+        // The retry policy and the brownout thresholds were settable once;
+        // they are constants now, so their keys are ignored too.
+        let json = r#"{
+            "token_budget": 2048,
+            "strategy": {"Oua": {
+                "weights": {"alpha": 0.7, "beta": 0.3},
+                "win_margin": 0.5,
+                "prune_margin": 0.5,
+                "round_tokens": 4
+            }},
+            "temperature": 0.7,
+            "seed": 0,
+            "record_events": false,
+            "retry": {
+                "max_retries": 5,
+                "backoff_base_ms": 10,
+                "backoff_cap_ms": 20,
+                "stall_limit": 9
+            },
+            "brownout": {
+                "enter_pressure": 0.9,
+                "exit_pressure": 0.1,
+                "min_dwell_ms": 5,
+                "level1_max_arms": 1
+            }
+        }"#;
+        let c: OrchestratorConfig = serde_json::from_str(json).unwrap();
+        let expected = OrchestratorConfig {
+            brownout: crate::brownout::BrownoutConfig {
+                level1_max_arms: 1,
+                ..Default::default()
+            },
+            ..OrchestratorConfig::default()
+        };
+        assert_eq!(c, expected);
 
         // The hybrid once carried its own Eq. 6.1 weights, which phase 2
         // ignored; both phases now score with `mab.weights`.
@@ -465,30 +427,14 @@ mod tests {
     }
 
     #[test]
-    fn backoff_is_exponential_and_capped() {
-        let r = RetryConfig::default();
-        assert_eq!(r.backoff_delay(1).as_millis(), 50);
-        assert_eq!(r.backoff_delay(2).as_millis(), 100);
-        assert_eq!(r.backoff_delay(3).as_millis(), 200);
-        assert_eq!(r.backoff_delay(4).as_millis(), 400);
-        assert_eq!(r.backoff_delay(10).as_millis(), 400, "clamped at the cap");
-        assert_eq!(r.backoff_delay(64).as_millis(), 400, "huge attempts safe");
-    }
-
-    #[test]
     fn builder_sets_robustness_knobs() {
         let c = OrchestratorConfig::builder()
-            .retry(RetryConfig {
-                max_retries: 5,
-                ..RetryConfig::default()
-            })
             .breaker(BreakerConfig {
                 failure_threshold: 7,
                 ..BreakerConfig::default()
             })
             .query_deadline_ms(2000)
             .build();
-        assert_eq!(c.retry.max_retries, 5);
         assert_eq!(c.breaker.failure_threshold, 7);
         assert_eq!(c.query_deadline_ms, Some(2000));
     }

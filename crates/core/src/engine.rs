@@ -179,7 +179,7 @@ pub(crate) fn run(
         seed: orch.seed,
     };
     let tctx = llmms_obs::trace::current();
-    let runs = ModelRun::start_all(models, query.prompt, &options, orch.retry, query.health);
+    let runs = ModelRun::start_all(models, query.prompt, &options, query.health);
     runpool::emit_preexisting_failures(&runs, &mut recorder, &tctx);
     let mut arms = Arms {
         cache: ScoreCache::new(runs.len(), Arc::clone(&query.embedding), policy.weights()),

@@ -79,8 +79,7 @@ pub mod scoring;
 pub use brownout::{BrownoutConfig, BrownoutController, PressureInputs};
 pub use budget::{Lease, TokenBudget};
 pub use config::{
-    MabConfig, MabSelection, OrchestratorConfig, OrchestratorConfigBuilder, OuaConfig, RetryConfig,
-    Strategy,
+    MabConfig, MabSelection, OrchestratorConfig, OrchestratorConfigBuilder, OuaConfig, Strategy,
 };
 pub use error::OrchestratorError;
 pub use events::{EventRecorder, EventSink, OrchestrationEvent};

@@ -7,7 +7,7 @@
 //! and score with [`crate::reward::score_all`]). The policies never see it.
 
 use crate::budget::TokenBudget;
-use crate::runpool::ModelRun;
+use crate::runpool::{backoff_delay, ModelRun, MAX_RETRIES, STALL_LIMIT};
 use llmms_embed::SharedEmbedder;
 use llmms_models::{Chunk, DoneReason};
 use std::cell::Cell;
@@ -53,7 +53,7 @@ pub(crate) fn current() -> Reference {
 
 impl ModelRun {
     /// The arm-by-arm reference step: grant up to `requested` tokens from
-    /// the live budget, drive the session with the run's retry policy,
+    /// the live budget, drive the session under the retry policy,
     /// commit the chunk, and end in the same
     /// [`crate::runpool::EmbedState::fold`] a job ends in. It writes out the
     /// retry loop and the commit itself instead of calling the production
@@ -81,10 +81,10 @@ impl ModelRun {
         let mut attempt = 0u32;
         let outcome = loop {
             match self.session.next_chunk(granted) {
-                Err(e) if e.is_transient() && attempt < self.policy.max_retries => {
+                Err(e) if e.is_transient() && attempt < MAX_RETRIES => {
                     attempt += 1;
                     self.retries += 1;
-                    self.backoff += self.policy.backoff_delay(attempt);
+                    self.backoff += backoff_delay(attempt);
                 }
                 outcome => break outcome,
             }
@@ -109,7 +109,7 @@ impl ModelRun {
             self.stalls = 0;
         } else if chunk.done.is_none() {
             self.stalls += 1;
-            if self.stalls >= self.policy.stall_limit {
+            if self.stalls >= STALL_LIMIT {
                 self.fail(
                     "stall",
                     format!("stalled: {} consecutive empty chunks", self.stalls),

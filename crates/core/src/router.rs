@@ -20,27 +20,22 @@ use llmms_models::{BreakerState, HealthRegistry, SharedModel};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
+/// Minimum intent-detection confidence (cosine to the winning centroid);
+/// below it the router falls back to OUA orchestration over the whole pool,
+/// with the paper's parameters, rather than trusting a wild guess.
+const MIN_CONFIDENCE: f64 = 0.05;
+
 /// Configuration of the routed strategy.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RouterConfig {
     /// The semantic task index queries are routed with.
     pub index: TaskIndex,
-    /// Minimum intent-detection confidence (cosine to the winning
-    /// centroid); below it the router falls back to full OUA orchestration
-    /// over the pool rather than trusting a wild guess.
-    pub min_confidence: f64,
-    /// OUA parameters used on fallback.
-    pub fallback: OuaConfig,
 }
 
 impl RouterConfig {
-    /// Route with `index` and default confidence/fallback settings.
+    /// Route with `index`.
     pub fn new(index: TaskIndex) -> Self {
-        Self {
-            index,
-            min_confidence: 0.05,
-            fallback: OuaConfig::default(),
-        }
+        Self { index }
     }
 
     /// The arms and policy for a query embedded as `query`: the preferred
@@ -54,7 +49,7 @@ impl RouterConfig {
         health: &HealthRegistry,
     ) -> (&'m [SharedModel], Box<dyn Policy>) {
         if let Some((task, confidence)) = self.index.detect(query) {
-            if f64::from(confidence) >= self.min_confidence {
+            if f64::from(confidence) >= MIN_CONFIDENCE {
                 if let Some(i) = models.iter().position(|m| m.name() == task.preferred_model) {
                     // Only dispatch solo to a healthy specialist. A tripped or
                     // probing breaker sends the query to the fallback pool
@@ -67,7 +62,10 @@ impl RouterConfig {
                 }
             }
         }
-        (models, Box::new(Oua::new(&self.fallback, models.len())))
+        (
+            models,
+            Box::new(Oua::new(&OuaConfig::default(), models.len())),
+        )
     }
 }
 

@@ -13,7 +13,6 @@
 //! the next query.
 
 use crate::budget::{Lease, TokenBudget};
-use crate::config::RetryConfig;
 use crate::events::{EventRecorder, OrchestrationEvent};
 use llmms_embed::{Embedding, IncrementalAccumulator, SharedEmbedder};
 use llmms_exec::TaskPoisoned;
@@ -24,6 +23,28 @@ use llmms_obs::trace::{tick_mark, AttrList, TickMark};
 use llmms_obs::{SpanContext, SpanStatus};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Transient-error retries per generate call before the step gives up and
+/// the run fails.
+pub(crate) const MAX_RETRIES: u32 = 2;
+
+/// Consecutive empty, non-final chunks before a session counts as stalled
+/// and its run fails (the analogue of a request timeout).
+pub(crate) const STALL_LIMIT: u32 = 3;
+
+/// First retry backoff, in milliseconds; each further retry doubles it.
+const BACKOFF_BASE_MS: u64 = 50;
+
+/// Backoff ceiling, in milliseconds.
+const BACKOFF_CAP_MS: u64 = 400;
+
+/// The capped exponential delay before retry number `attempt` (1-based):
+/// `BACKOFF_BASE_MS · 2^(attempt − 1)`, clamped to `BACKOFF_CAP_MS`.
+/// Accounted into the run's simulated latency, never slept.
+pub(crate) fn backoff_delay(attempt: u32) -> Duration {
+    let exp = BACKOFF_BASE_MS.saturating_mul(1u64 << attempt.saturating_sub(1).min(16));
+    Duration::from_millis(exp.min(BACKOFF_CAP_MS))
+}
 
 /// Per-run embedding state: an incremental accumulator (when the embedder
 /// supports one) plus the cached snapshot.
@@ -82,9 +103,6 @@ impl EmbedState {
 /// One candidate model's in-flight state during orchestration.
 pub(crate) struct ModelRun {
     pub name: String,
-    /// The name as a shared str — span attributes clone this for one
-    /// refcount bump instead of a fresh `String` per round.
-    shared_name: Arc<str>,
     pub(crate) session: Box<dyn GenerationSession>,
     pub(crate) embed: EmbedState,
     pub rounds: usize,
@@ -100,7 +118,6 @@ pub(crate) struct ModelRun {
     pub(crate) stalls: u32,
     /// Backoff time accounted (not slept) across retries.
     pub(crate) backoff: Duration,
-    pub(crate) policy: RetryConfig,
     health: Arc<HealthRegistry>,
     /// Whether this run already reported its terminal verdict to `health`.
     reported: bool,
@@ -123,7 +140,6 @@ impl ModelRun {
         models: &[SharedModel],
         prompt: &str,
         options: &GenOptions,
-        policy: RetryConfig,
         health: &Arc<HealthRegistry>,
     ) -> Vec<ModelRun> {
         models
@@ -132,7 +148,6 @@ impl ModelRun {
                 let name = m.name().to_owned();
                 if health.admit(&name) {
                     ModelRun {
-                        shared_name: Arc::from(name.as_str()),
                         name,
                         session: m.start(prompt, options),
                         embed: EmbedState::default(),
@@ -143,7 +158,6 @@ impl ModelRun {
                         retries: 0,
                         stalls: 0,
                         backoff: Duration::ZERO,
-                        policy,
                         health: Arc::clone(health),
                         reported: false,
                         last_busy: None,
@@ -152,7 +166,6 @@ impl ModelRun {
                 } else {
                     failure_metric(&name, "breaker_open");
                     ModelRun {
-                        shared_name: Arc::from(name.as_str()),
                         name,
                         session: Box::new(DeadSession),
                         embed: EmbedState::default(),
@@ -163,7 +176,6 @@ impl ModelRun {
                         retries: 0,
                         stalls: 0,
                         backoff: Duration::ZERO,
-                        policy,
                         health: Arc::clone(health),
                         // A breaker skip is not new evidence about the
                         // backend: don't extend the failure streak.
@@ -179,8 +191,7 @@ impl ModelRun {
     /// Take this round's step out of the run so it can compute on any
     /// thread. The job owns the session (a [`DeadSession`] placeholder sits
     /// in the run until [`ModelRun::finish_generate`] reinstalls it), the
-    /// embedding state, the token lease it may generate against, and the
-    /// retry policy.
+    /// embedding state and the token lease it may generate against.
     ///
     /// `None` for a failed run or a zero lease: such a step generates
     /// nothing, and [`ModelRun::idle_chunk`] is its chunk.
@@ -193,7 +204,6 @@ impl ModelRun {
             session: std::mem::replace(&mut self.session, Box::new(DeadSession)),
             embed: std::mem::take(&mut self.embed),
             lease,
-            policy: self.policy,
         })
     }
 
@@ -244,7 +254,7 @@ impl ModelRun {
             self.stalls = 0;
         } else if chunk.done.is_none() {
             self.stalls += 1;
-            if self.stalls >= self.policy.stall_limit {
+            if self.stalls >= STALL_LIMIT {
                 self.fail(
                     "stall",
                     format!("stalled: {} consecutive empty chunks", self.stalls),
@@ -394,7 +404,6 @@ pub(crate) struct GenJob {
     session: Box<dyn GenerationSession>,
     embed: EmbedState,
     lease: usize,
-    policy: RetryConfig,
 }
 
 /// What a [`GenJob`] produced, handed back to its run at the barrier.
@@ -414,7 +423,7 @@ pub(crate) struct GenDone {
 
 impl GenJob {
     /// Drive the session against the lease, retrying transient errors up
-    /// to the policy's limit (each retry's backoff accounted, not slept),
+    /// to [`MAX_RETRIES`] times (each retry's backoff accounted, not slept),
     /// then fold the response into the embedding. Deterministic and
     /// thread-agnostic: no shared state is read or written.
     pub fn compute(mut self, embedder: &SharedEmbedder) -> GenDone {
@@ -423,9 +432,9 @@ impl GenJob {
         let mut backoff = Duration::ZERO;
         let outcome = loop {
             match self.session.next_chunk(self.lease) {
-                Err(e) if e.is_transient() && retries < self.policy.max_retries => {
+                Err(e) if e.is_transient() && retries < MAX_RETRIES => {
                     retries += 1;
-                    backoff += self.policy.backoff_delay(retries);
+                    backoff += backoff_delay(retries);
                 }
                 outcome => break outcome,
             }
@@ -665,7 +674,7 @@ fn record_arm_span(
     let mut attrs = AttrList::new();
     attrs.push("arm", (i as u64).into());
     let status = if chunk.done == Some(DoneReason::Failed) {
-        attrs.push("model", Arc::clone(&run.shared_name).into());
+        attrs.push("model", run.name.clone().into());
         attrs.push("error", run.error.clone().unwrap_or_default().into());
         SpanStatus::Error
     } else {
@@ -891,7 +900,6 @@ mod tests {
             models,
             "What is the capital of France?",
             &GenOptions::default(),
-            RetryConfig::default(),
             &health(),
         )
     }
@@ -1178,16 +1186,9 @@ mod tests {
             7,
         )];
         let health = health();
-        let mut runs = ModelRun::start_all(
-            &chaotic,
-            "q",
-            &GenOptions::default(),
-            RetryConfig::default(),
-            &health,
-        );
+        let mut runs = ModelRun::start_all(&chaotic, "q", &GenOptions::default(), &health);
         let mut budget = TokenBudget::new(100);
-        let stall_limit = RetryConfig::default().stall_limit;
-        for _ in 0..stall_limit {
+        for _ in 0..STALL_LIMIT {
             step(&mut runs, 10, &mut budget);
         }
         assert!(runs[0].failed);
@@ -1196,6 +1197,16 @@ mod tests {
         assert_eq!(budget.used(), 0, "stall chunks must not consume budget");
         // One terminal failure, reported once to the health registry.
         assert_eq!(health.snapshot()[0].consecutive_failures, 1);
+    }
+
+    #[test]
+    fn backoff_is_exponential_and_capped() {
+        assert_eq!(backoff_delay(1).as_millis(), 50);
+        assert_eq!(backoff_delay(2).as_millis(), 100);
+        assert_eq!(backoff_delay(3).as_millis(), 200);
+        assert_eq!(backoff_delay(4).as_millis(), 400);
+        assert_eq!(backoff_delay(10).as_millis(), 400, "clamped at the cap");
+        assert_eq!(backoff_delay(64).as_millis(), 400, "huge attempts safe");
     }
 
     #[test]
@@ -1211,7 +1222,6 @@ mod tests {
             &chaotic,
             "What is the capital of France?",
             &GenOptions::default(),
-            RetryConfig::default(),
             &health(),
         );
         let mut budget = TokenBudget::new(1000);
@@ -1247,7 +1257,6 @@ mod tests {
             &chaotic,
             "What is the capital of France?",
             &GenOptions::default(),
-            RetryConfig::default(),
             &health,
         );
         let mut budget = TokenBudget::new(1000);
@@ -1277,7 +1286,6 @@ mod tests {
             &models,
             "What is the capital of France?",
             &GenOptions::default(),
-            RetryConfig::default(),
             &health,
         );
         assert!(runs[0].failed);
@@ -1296,7 +1304,6 @@ mod tests {
             &models,
             "What is the capital of France?",
             &GenOptions::default(),
-            RetryConfig::default(),
             &health,
         );
         let mut budget = TokenBudget::new(1000);

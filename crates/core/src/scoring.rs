@@ -91,11 +91,6 @@ impl ScoreCache {
         true
     }
 
-    /// Whether arm `i` has an embedding installed.
-    pub fn has_embedding(&self, i: usize) -> bool {
-        self.embeddings[i].is_some()
-    }
-
     /// Eq. 6.1 score of arm `i`, where the "others" of the agreement term
     /// are the arms `j ≠ i` with `mask[j]` set and an embedding installed.
     ///
@@ -334,7 +329,6 @@ mod tests {
             &models,
             "What is the capital of France?",
             &GenOptions::default(),
-            crate::config::RetryConfig::default(),
             &Arc::new(HealthRegistry::default()),
         );
         let query = Arc::new(embedder.embed("What is the capital of France?"));

@@ -53,11 +53,6 @@ impl Embedding {
         &mut self.values
     }
 
-    /// Consume into the raw vector.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.values
-    }
-
     /// Euclidean (L2) norm.
     pub fn l2_norm(&self) -> f32 {
         self.values.iter().map(|v| v * v).sum::<f32>().sqrt()

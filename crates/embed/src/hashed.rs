@@ -33,11 +33,11 @@ pub struct HashedEmbedderConfig {
     pub ngram_min: usize,
     /// Inclusive upper bound of the n-gram lengths.
     pub ngram_max: usize,
-    /// Also hash whole-word unigrams (recommended: dominant topical signal).
-    pub use_words: bool,
-    /// Weight of word features relative to character n-gram features.
-    pub word_weight: f32,
 }
+
+/// Weight of a whole-word unigram feature relative to a character n-gram
+/// feature: words carry the dominant topical signal.
+const WORD_WEIGHT: f32 = 2.0;
 
 impl Default for HashedEmbedderConfig {
     fn default() -> Self {
@@ -45,8 +45,6 @@ impl Default for HashedEmbedderConfig {
             dim: 384,
             ngram_min: 3,
             ngram_max: 4,
-            use_words: true,
-            word_weight: 2.0,
         }
     }
 }
@@ -93,13 +91,11 @@ impl HashedNgramEmbedder {
     /// which is what makes incremental term-frequency updates possible: to
     /// move a word from weight w₀ to w₁, fold it in again at `w₁ − w₀`.
     pub(crate) fn add_word_features(&self, acc: &mut [f32], word: &str, weight: f32) {
-        if self.config.use_words {
-            // Prefix distinguishes word features from n-gram features.
-            let mut key = Vec::with_capacity(word.len() + 2);
-            key.extend_from_slice(b"w:");
-            key.extend_from_slice(word.as_bytes());
-            self.add_feature(acc, &key, weight * self.config.word_weight);
-        }
+        // Prefix distinguishes word features from n-gram features.
+        let mut key = Vec::with_capacity(word.len() + 2);
+        key.extend_from_slice(b"w:");
+        key.extend_from_slice(word.as_bytes());
+        self.add_feature(acc, &key, weight * WORD_WEIGHT);
         let chars: Vec<char> = word.chars().collect();
         for n in self.config.ngram_min..=self.config.ngram_max {
             if chars.len() < n {

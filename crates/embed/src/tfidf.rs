@@ -21,22 +21,17 @@ use std::collections::HashMap;
 pub struct TfIdfConfig {
     /// Output dimensionality.
     pub dim: usize,
-    /// Also hash character n-grams (length 3..=4) at reduced weight for
-    /// typo robustness.
-    pub use_char_ngrams: bool,
-    /// Weight of character n-gram features relative to word features.
-    pub char_weight: f32,
 }
 
 impl Default for TfIdfConfig {
     fn default() -> Self {
-        Self {
-            dim: 384,
-            use_char_ngrams: true,
-            char_weight: 0.3,
-        }
+        Self { dim: 384 }
     }
 }
+
+/// Weight of a character n-gram feature (length 3..=4) relative to its
+/// word's feature: enough for typo robustness, too little to outvote IDF.
+const CHAR_WEIGHT: f32 = 0.3;
 
 /// A TF-IDF weighted, feature-hashed embedder. See the module docs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -125,19 +120,17 @@ impl Embedder for TfIdfEmbedder {
             key.extend_from_slice(b"w:");
             key.extend_from_slice(word.as_bytes());
             self.add_feature(&mut acc, &key, weight);
-            if self.config.use_char_ngrams {
-                let chars: Vec<char> = word.chars().collect();
-                for n in 3..=4usize {
-                    if chars.len() < n {
-                        continue;
-                    }
-                    for start in 0..=chars.len() - n {
-                        let gram: String = chars[start..start + n].iter().collect();
-                        let mut key = Vec::with_capacity(gram.len() + 2);
-                        key.extend_from_slice(b"g:");
-                        key.extend_from_slice(gram.as_bytes());
-                        self.add_feature(&mut acc, &key, weight * self.config.char_weight);
-                    }
+            let chars: Vec<char> = word.chars().collect();
+            for n in 3..=4usize {
+                if chars.len() < n {
+                    continue;
+                }
+                for start in 0..=chars.len() - n {
+                    let gram: String = chars[start..start + n].iter().collect();
+                    let mut key = Vec::with_capacity(gram.len() + 2);
+                    key.extend_from_slice(b"g:");
+                    key.extend_from_slice(gram.as_bytes());
+                    self.add_feature(&mut acc, &key, weight * CHAR_WEIGHT);
                 }
             }
         }
@@ -240,12 +233,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "dimension must be positive")]
     fn zero_dim_rejected() {
-        TfIdfEmbedder::fit(
-            ["x"],
-            TfIdfConfig {
-                dim: 0,
-                ..Default::default()
-            },
-        );
+        TfIdfEmbedder::fit(["x"], TfIdfConfig { dim: 0 });
     }
 }

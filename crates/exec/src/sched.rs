@@ -11,8 +11,9 @@
 //!
 //! * **Tenant level** — active tenants sit in a ring. A visit replenishes
 //!   the tenant's deficit to `weight × tenant_quantum` job credits (every
-//!   job costs 1 credit — jobs are coarse and roughly uniform: one arm
-//!   generation, one embed fold, one segment search); the cursor advances
+//!   job costs 1 credit — jobs are coarse and roughly uniform: one arm's
+//!   generation step, its embed fold included, or one sealed-segment
+//!   search); the cursor advances
 //!   when the credits are spent, so dispatch counts converge to the
 //!   configured weights.
 //! * **Query level (within a tenant)** — queries carry a key

@@ -7,7 +7,7 @@
 //! llmms dataset --out FILE [--items N] [--seed N]
 //! llmms serve [--addr HOST:PORT] [--persist DIR] [--fsync-every N]
 //!             [--tenant-quota RATE:BURST:CONCURRENT] [--max-in-flight N] [--target-p99-ms N]
-//!             [--sched-shares TENANT:WEIGHT[,...]] [--sched-shed-depth N]
+//!             [--sched-shares TENANT:WEIGHT[,...]]
 //!             [--edge-max-conns N] [--edge-idle-timeout-ms N]
 //!             [--edge-max-keepalive-requests N]
 //! llmms models
@@ -50,7 +50,7 @@ fn print_usage() {
          llmms dataset --out FILE [--items N] [--seed N]\n  \
          llmms serve [--addr HOST:PORT] [--persist DIR] [--fsync-every N]\n              \
          [--tenant-quota RATE:BURST:CONCURRENT] [--max-in-flight N] [--target-p99-ms N]\n              \
-         [--sched-shares TENANT:WEIGHT[,...]] [--sched-shed-depth N]\n              \
+         [--sched-shares TENANT:WEIGHT[,...]]\n              \
          [--edge-max-conns N] [--edge-idle-timeout-ms N]\n              \
          [--edge-max-keepalive-requests N]\n  \
          llmms models"
@@ -300,7 +300,7 @@ fn cmd_dataset(args: &[String]) -> i32 {
 }
 
 /// Every flag `serve` takes; each is followed by a value.
-const SERVE_FLAGS: [&str; 11] = [
+const SERVE_FLAGS: [&str; 10] = [
     "--addr",
     "--persist",
     "--fsync-every",
@@ -308,7 +308,6 @@ const SERVE_FLAGS: [&str; 11] = [
     "--max-in-flight",
     "--target-p99-ms",
     "--sched-shares",
-    "--sched-shed-depth",
     "--edge-max-conns",
     "--edge-idle-timeout-ms",
     "--edge-max-keepalive-requests",
@@ -412,9 +411,6 @@ fn serve_setup(args: &[String]) -> Result<(Platform, llmms::server::ServerConfig
             })?;
             llmms::exec::set_tenant_share(tenant, weight);
         }
-    }
-    if let Some(n) = parsed_flag(args, "--sched-shed-depth", "an integer")? {
-        server_config.sched_shed_depth = n;
     }
     if let Some(n) = parsed_flag(args, "--edge-max-conns", "an integer")? {
         server_config.edge.max_conns = n;

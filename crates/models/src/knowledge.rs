@@ -48,10 +48,11 @@ pub struct KnowledgeStore {
     /// product over the query's norm.
     all_unit: bool,
     embedder: SharedEmbedder,
-    /// Below this cosine similarity a lookup is treated as "the model has
-    /// never seen anything like this" and returns `None`.
-    min_similarity: f32,
 }
+
+/// Below this cosine similarity a lookup is treated as "the model has never
+/// seen anything like this" and returns `None`.
+const MIN_SIMILARITY: f32 = 0.35;
 
 impl KnowledgeStore {
     /// Build a store over `entries`, embedding every question with
@@ -76,13 +77,7 @@ impl KnowledgeStore {
             questions,
             all_unit,
             embedder,
-            min_similarity: 0.35,
         }
-    }
-
-    /// Change the recall threshold (mainly for tests).
-    pub fn set_min_similarity(&mut self, min: f32) {
-        self.min_similarity = min;
     }
 
     /// Number of entries.
@@ -160,7 +155,7 @@ impl KnowledgeStore {
             }
         }
         let (i, score) = best?;
-        if score < self.min_similarity {
+        if score < MIN_SIMILARITY {
             return None;
         }
         Some((&self.entries[i], score))

@@ -48,10 +48,12 @@ pub struct SimLlm {
     profile: ModelProfile,
     knowledge: Arc<KnowledgeStore>,
     placement: Placement,
-    /// Extra seed mixed into every generation (lets experiments draw
-    /// independent replicas of the same profile).
-    base_seed: u64,
 }
+
+/// Seed mixed into every generation key after the prompt. It is part of the
+/// key's bytes, so changing or dropping it would change every generated
+/// token.
+const BASE_SEED: u64 = 0;
 
 impl SimLlm {
     /// Create a model with `profile` drawing on `knowledge`, GPU-placed.
@@ -60,7 +62,6 @@ impl SimLlm {
             profile,
             knowledge,
             placement: Placement::Gpu,
-            base_seed: 0,
         }
     }
 
@@ -68,13 +69,6 @@ impl SimLlm {
     #[must_use]
     pub fn with_placement(mut self, placement: Placement) -> Self {
         self.placement = placement;
-        self
-    }
-
-    /// Mix an extra seed into the model's determinism.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.base_seed = seed;
         self
     }
 
@@ -101,7 +95,7 @@ impl SimLlm {
             let mut key = Vec::with_capacity(prompt.len() + self.profile.name.len() + 16);
             key.extend_from_slice(self.profile.name.as_bytes());
             key.extend_from_slice(prompt.as_bytes());
-            key.extend_from_slice(&self.base_seed.to_le_bytes());
+            key.extend_from_slice(&BASE_SEED.to_le_bytes());
             key.extend_from_slice(&options.seed.to_le_bytes());
             key.extend_from_slice(&salt.to_le_bytes());
             unit_f64(fnv1a64(&key))

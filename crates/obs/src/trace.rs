@@ -197,7 +197,7 @@ impl SpanStatus {
 }
 
 /// A span attribute value. Typed so that the hot numeric attributes
-/// (token counts, round numbers, byte sizes) and interned names never
+/// (token counts, round numbers, byte sizes) and static labels never
 /// allocate; only genuinely dynamic text pays for a `String`.
 #[derive(Clone, Debug, PartialEq)]
 pub enum AttrValue {
@@ -206,8 +206,6 @@ pub enum AttrValue {
     /// Dynamic text (error messages, addresses). Boxed so the enum stays
     /// 24 bytes — span records are copied around enough that width matters.
     Str(Box<str>),
-    /// Shared text — clone is one refcount bump (model names).
-    Shared(Arc<str>),
     /// A number, rendered unquoted in JSON exports.
     U64(u64),
 }
@@ -218,7 +216,6 @@ impl AttrValue {
         match self {
             AttrValue::Static(s) => Some(s),
             AttrValue::Str(s) => Some(s),
-            AttrValue::Shared(s) => Some(s),
             AttrValue::U64(_) => None,
         }
     }
@@ -241,12 +238,6 @@ impl From<&'static str> for AttrValue {
 impl From<String> for AttrValue {
     fn from(s: String) -> AttrValue {
         AttrValue::Str(s.into_boxed_str())
-    }
-}
-
-impl From<Arc<str>> for AttrValue {
-    fn from(s: Arc<str>) -> AttrValue {
-        AttrValue::Shared(s)
     }
 }
 
@@ -273,7 +264,6 @@ impl std::fmt::Display for AttrValue {
         match self {
             AttrValue::Static(s) => f.write_str(s),
             AttrValue::Str(s) => f.write_str(s),
-            AttrValue::Shared(s) => f.write_str(s),
             AttrValue::U64(n) => write!(f, "{n}"),
         }
     }

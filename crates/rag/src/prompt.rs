@@ -5,27 +5,24 @@
 use crate::retriever::RetrievedChunk;
 use serde::{Deserialize, Serialize};
 
+/// The fixed system preamble every prompt opens with.
+const SYSTEM: &str = "Answer the question accurately and concisely. \
+                      If context is provided, ground your answer in it.";
+
+/// The label above the retrieved-context section.
+const CONTEXT_HEADER: &str = "Context:";
+
 /// Configuration of the prompt builder.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PromptConfig {
-    /// Fixed system preamble.
-    pub system: String,
     /// Word budget for the whole prompt; context is dropped lowest-score
     /// first, then history oldest-first, to fit.
     pub max_words: usize,
-    /// Label above the retrieved-context section.
-    pub context_header: String,
 }
 
 impl Default for PromptConfig {
     fn default() -> Self {
-        Self {
-            system: "Answer the question accurately and concisely. \
-                     If context is provided, ground your answer in it."
-                .to_owned(),
-            max_words: 1024,
-            context_header: "Context:".to_owned(),
-        }
+        Self { max_words: 1024 }
     }
 }
 
@@ -86,7 +83,7 @@ impl PromptBuilder {
     /// and the question always survive.
     pub fn build(mut self) -> String {
         let _span = llmms_obs::span("rag_prompt_build");
-        let fixed_words = word_count(&self.config.system) + word_count(&self.question) + 8; // section labels
+        let fixed_words = word_count(SYSTEM) + word_count(&self.question) + 8; // section labels
         let budget = self.config.max_words.saturating_sub(fixed_words);
 
         // Sort context best-first, then greedily keep what fits.
@@ -119,12 +116,10 @@ impl PromptBuilder {
         kept_history.reverse();
 
         let mut out = String::new();
-        if !self.config.system.is_empty() {
-            out.push_str(&self.config.system);
-            out.push_str("\n\n");
-        }
+        out.push_str(SYSTEM);
+        out.push_str("\n\n");
         if !kept_context.is_empty() {
-            out.push_str(&self.config.context_header);
+            out.push_str(CONTEXT_HEADER);
             out.push('\n');
             for c in kept_context {
                 out.push_str("- ");
@@ -192,10 +187,7 @@ mod tests {
 
     #[test]
     fn budget_drops_worst_context_first() {
-        let config = PromptConfig {
-            max_words: 30,
-            ..PromptConfig::default()
-        };
+        let config = PromptConfig { max_words: 30 };
         let big = "word ".repeat(12);
         let p = PromptBuilder::new(config)
             .question("the question")
@@ -207,10 +199,7 @@ mod tests {
 
     #[test]
     fn history_prefers_recent_turns() {
-        let config = PromptConfig {
-            max_words: 40,
-            ..PromptConfig::default()
-        };
+        let config = PromptConfig { max_words: 40 };
         let old = HistoryTurn {
             role: "user".into(),
             text: "ancient history filler ".repeat(8),

@@ -54,24 +54,21 @@ pub struct RetrievedChunk {
     pub score: f32,
 }
 
+/// The vector-database collection the chunks live in. A durable store
+/// names its files after it (`rag-chunks.wal`, `.snap`, `.idx.bin`), so it
+/// must not change.
+const COLLECTION: &str = "rag-chunks";
+
 /// Configuration of a [`Retriever`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RetrieverConfig {
-    /// Chunking strategy for ingested documents.
-    pub chunking: ChunkStrategy,
-    /// Collection name inside the vector database.
-    pub collection: String,
     /// Minimum similarity for a chunk to count as relevant context.
     pub min_score: f32,
 }
 
 impl Default for RetrieverConfig {
     fn default() -> Self {
-        Self {
-            chunking: ChunkStrategy::default(),
-            collection: "rag-chunks".to_owned(),
-            min_score: 0.1,
-        }
+        Self { min_score: 0.1 }
     }
 }
 
@@ -88,13 +85,13 @@ pub struct Retriever {
 impl Retriever {
     /// Create a retriever over `db`, embedding with `embedder`.
     ///
-    /// When `db` already holds the configured collection (e.g. a durable
+    /// When `db` already holds the chunk collection (e.g. a durable
     /// database recovered via [`Database::open`]), the ingested-document
     /// list is rebuilt from the stored chunk metadata (sorted by id —
     /// original ingestion order does not survive a restart), so previously
     /// ingested documents stay listed and retrievable.
     pub fn new(db: Arc<Database>, embedder: SharedEmbedder, config: RetrieverConfig) -> Self {
-        let coll = db.get_or_create(&config.collection, CollectionConfig::flat(embedder.dim()));
+        let coll = db.get_or_create(COLLECTION, CollectionConfig::flat(embedder.dim()));
         let mut recovered: Vec<String> = Vec::new();
         for record in coll.read().iter() {
             if let Some(doc) = record.metadata.get("document_id").and_then(|v| v.as_str()) {
@@ -157,7 +154,7 @@ impl Retriever {
     }
 
     fn ingest_parsed(&self, document_id: &str, doc: &ParsedDocument) -> Result<usize, RagError> {
-        let chunks = chunk(&doc.paragraphs, &self.config.chunking);
+        let chunks = chunk(&doc.paragraphs, &ChunkStrategy::default());
         // Embed every chunk *before* taking the collection write lock:
         // embedding is the expensive part of ingestion and holding the lock
         // through it would stall every concurrent `retrieve`.
@@ -176,7 +173,7 @@ impl Retriever {
                 ]))
             })
             .collect();
-        let coll = self.db.collection(&self.config.collection)?;
+        let coll = self.db.collection(COLLECTION)?;
         {
             let mut guard = coll.write();
             // Delete-then-upsert under one guard: upserting only over
@@ -200,7 +197,7 @@ impl Retriever {
     ///
     /// Vector-store failures propagate.
     pub fn remove_document(&self, document_id: &str) -> Result<usize, RagError> {
-        let coll = self.db.collection(&self.config.collection)?;
+        let coll = self.db.collection(COLLECTION)?;
         let removed = coll
             .write()
             .delete_matching(&Filter::eq_str("document_id", document_id))?;
@@ -244,7 +241,7 @@ impl Retriever {
         k: usize,
         document_id: Option<&str>,
     ) -> Result<Vec<RetrievedChunk>, RagError> {
-        let coll = self.db.collection(&self.config.collection)?;
+        let coll = self.db.collection(COLLECTION)?;
         let guard = coll.read();
         if guard.is_empty() {
             return Ok(Vec::new());
@@ -350,7 +347,6 @@ mod tests {
             llmms_embed::default_embedder(),
             RetrieverConfig {
                 min_score: 0.9, // effectively exact-match only
-                ..RetrieverConfig::default()
             },
         );
         r.ingest_text("d", "The capital of France is Paris.")
@@ -398,7 +394,7 @@ mod tests {
 
         // Count what is actually stored for the document.
         let db = &r.db;
-        let coll = db.collection(&r.config.collection).unwrap();
+        let coll = db.collection(COLLECTION).unwrap();
         let stored = coll
             .read()
             .iter()
@@ -439,7 +435,7 @@ mod tests {
             // Every retrieved chunk's index must point at the stored record
             // carrying the same text — the i64 metadata survived intact.
             let db = &r.db;
-            let coll = db.collection(&r.config.collection).unwrap();
+            let coll = db.collection(COLLECTION).unwrap();
             let guard = coll.read();
             let rec = guard
                 .get(&format!("{}#{}", h.document_id, h.chunk_index))

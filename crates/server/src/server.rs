@@ -16,8 +16,7 @@ use crate::http::{write_response, write_response_with, write_sse_header, Method,
 use crate::service::{AppService, QueryContext, QueryRequest, ServiceError};
 use crate::sse;
 use llmms_core::{
-    BrownoutConfig, BrownoutController, EventSink, OrchestrationEvent, OrchestrationResult,
-    PressureInputs,
+    BrownoutController, EventSink, OrchestrationEvent, OrchestrationResult, PressureInputs,
 };
 use llmms_obs::{SpanRecord, SpanStatus, TraceData, TraceId, TraceStore, TraceStoreConfig, Tracer};
 use serde_json::{json, Value};
@@ -105,15 +104,6 @@ pub struct ServerConfig {
     pub trace_sample_rate: f64,
     /// Traces at least this slow are always retained.
     pub trace_slow_threshold_ms: u64,
-    /// Executor queue depth the brownout pressure signal normalizes
-    /// against: a scheduler backlog at this size contributes pressure 1.0
-    /// (full brownout). 0 disables the scheduler component.
-    pub sched_depth_target: usize,
-    /// Hard shed threshold on the executor queue depth: model-fanning
-    /// requests are answered 503 + `Retry-After` while the shared scheduler
-    /// backlog exceeds this. 0 disables the shed (brownout degradation
-    /// still applies via `sched_depth_target`).
-    pub sched_shed_depth: usize,
     /// Event-loop edge knobs.
     pub edge: EdgeConfig,
 }
@@ -131,12 +121,18 @@ impl Default for ServerConfig {
             trace_buffer_len: traces.capacity,
             trace_sample_rate: traces.sample_rate,
             trace_slow_threshold_ms: traces.slow_threshold_ms,
-            sched_depth_target: 1024,
-            sched_shed_depth: 0,
             edge: EdgeConfig::default(),
         }
     }
 }
+
+/// Executor queue depth the brownout pressure signal normalizes against: a
+/// scheduler backlog this deep contributes pressure 1.0.
+const SCHED_DEPTH_TARGET: usize = 1024;
+
+/// How long the brownout controller holds a level before it may step
+/// again, in milliseconds.
+const BROWNOUT_DWELL_MS: u64 = 500;
 
 /// Shared overload bookkeeping: the admission controller, the brownout
 /// ladder, and the live occupancy counters its pressure signal reads.
@@ -150,22 +146,18 @@ pub(crate) struct OverloadState {
     queue_capacity: usize,
     max_in_flight: usize,
     target_p99_ms: u64,
-    sched_depth_target: usize,
-    sched_shed_depth: usize,
 }
 
 impl OverloadState {
     fn new(config: &ServerConfig) -> Self {
         Self {
             admission: Arc::new(AdmissionController::new(config.admission.clone())),
-            brownout: BrownoutController::new(BrownoutConfig::default()),
+            brownout: BrownoutController::new(BROWNOUT_DWELL_MS),
             in_flight: AtomicUsize::new(0),
             queued: AtomicUsize::new(0),
             queue_capacity: config.queue_depth.max(1),
             max_in_flight: config.max_in_flight,
             target_p99_ms: config.target_p99_ms,
-            sched_depth_target: config.sched_depth_target,
-            sched_shed_depth: config.sched_shed_depth,
         }
     }
 
@@ -190,7 +182,7 @@ impl OverloadState {
             p99_ms,
             target_p99_ms: self.target_p99_ms as f64,
             sched_depth: llmms_exec::queue_depth(),
-            sched_depth_target: self.sched_depth_target,
+            sched_depth_target: SCHED_DEPTH_TARGET,
         })
     }
 
@@ -368,35 +360,6 @@ fn admit_and_dispatch<S: AppService>(
     root.set_attr("tenant", tenant.to_owned());
     if priority != llmms_exec::Priority::Normal {
         root.set_attr("priority", priority.as_str().to_owned());
-    }
-
-    // Scheduler backpressure shed: when the shared executor's backlog is
-    // past the operator's hard limit, more admitted queries only deepen
-    // every tenant's queue — answer 503 before any orchestration work.
-    if overload.sched_shed_depth > 0 {
-        let depth = llmms_exec::queue_depth();
-        if depth > overload.sched_shed_depth {
-            if registry.enabled() {
-                registry
-                    .counter_with("http_shed_total", &[("route", route), ("reason", "sched")])
-                    .metric
-                    .inc();
-            }
-            root.set_attr("sched_shed_depth", depth as u64);
-            let retry_after = overload.retry_after_secs().to_string();
-            let body = json!({
-                "error": format!("scheduler backlog {depth} over limit, retry later"),
-            })
-            .to_string();
-            let _ = write_response_with(
-                sink,
-                503,
-                "application/json",
-                &[("Retry-After", retry_after.as_str())],
-                body.as_bytes(),
-            );
-            return 503;
-        }
     }
 
     // 504-fast: when the EWMA says a full query takes longer than the

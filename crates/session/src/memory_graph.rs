@@ -45,8 +45,6 @@ pub struct MemoryGraphConfig {
     pub link_threshold: f32,
     /// Maximum outgoing links recorded per node.
     pub max_links: usize,
-    /// Discount applied to one-hop (linked) recall scores.
-    pub hop_discount: f32,
 }
 
 impl Default for MemoryGraphConfig {
@@ -54,10 +52,12 @@ impl Default for MemoryGraphConfig {
         Self {
             link_threshold: 0.3,
             max_links: 4,
-            hop_discount: 0.8,
         }
     }
 }
+
+/// Discount applied to one-hop (linked) recall scores.
+const HOP_DISCOUNT: f32 = 0.8;
 
 /// The similarity-linked memory of past exchanges.
 pub struct MemoryGraph {
@@ -126,7 +126,7 @@ impl MemoryGraph {
     }
 
     /// Recall up to `k` exchanges relevant to `query`: direct cosine hits
-    /// plus one-hop expansions discounted by `hop_discount × edge weight`.
+    /// plus one-hop expansions discounted by `HOP_DISCOUNT` × edge weight.
     pub fn recall(&self, query: &str, k: usize) -> Vec<Recalled<'_>> {
         if k == 0 || self.nodes.is_empty() {
             return Vec::new();
@@ -143,7 +143,7 @@ impl MemoryGraph {
         // best directly-matching neighbor.
         for (id, links) in self.edges.iter().enumerate() {
             for &(neighbor, weight) in links {
-                let inherited = direct[neighbor] * weight * self.config.hop_discount;
+                let inherited = direct[neighbor] * weight * HOP_DISCOUNT;
                 if inherited > best[id].0 {
                     best[id] = (inherited, true);
                 }
@@ -267,7 +267,6 @@ mod tests {
         let cfg = MemoryGraphConfig {
             max_links: 2,
             link_threshold: 0.0,
-            ..MemoryGraphConfig::default()
         };
         let mut g = MemoryGraph::new(llmms_embed::default_embedder(), cfg);
         for i in 0..5 {

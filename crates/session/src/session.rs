@@ -36,20 +36,20 @@ pub struct Message {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SessionConfig {
     /// After this many unsummarized messages, the oldest
-    /// `summarize_batch` are folded into the running summary (the thesis
+    /// `SUMMARIZE_BATCH` (2) are folded into the running summary (the thesis
     /// condenses "after every five messages", §7.3).
     pub summarize_after: usize,
-    /// How many of the oldest messages each condensation folds away.
-    pub summarize_batch: usize,
     /// Word budget of the running summary.
     pub summary: SummaryConfig,
 }
+
+/// How many of the oldest messages each condensation folds away.
+const SUMMARIZE_BATCH: usize = 2;
 
 impl Default for SessionConfig {
     fn default() -> Self {
         Self {
             summarize_after: 5,
-            summarize_batch: 2,
             summary: SummaryConfig::default(),
         }
     }
@@ -122,11 +122,11 @@ impl Session {
         }
     }
 
-    /// Fold the oldest `summarize_batch` messages into the summary —
+    /// Fold the oldest `SUMMARIZE_BATCH` messages into the summary —
     /// *hierarchical* because the previous summary is part of the text being
     /// re-summarized.
     fn condense(&mut self, embedder: &SharedEmbedder) {
-        let batch = self.config.summarize_batch.clamp(1, self.recent.len());
+        let batch = SUMMARIZE_BATCH.clamp(1, self.recent.len());
         let folded: Vec<Message> = self.recent.drain(..batch).collect();
         let mut material = String::new();
         if !self.summary.is_empty() {

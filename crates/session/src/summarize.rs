@@ -16,19 +16,17 @@ use serde::{Deserialize, Serialize};
 pub struct SummaryConfig {
     /// Word budget for the summary.
     pub max_words: usize,
-    /// Redundancy penalty: a candidate loses this × its max similarity to
-    /// already-selected sentences (a light MMR).
-    pub redundancy_penalty: f32,
 }
 
 impl Default for SummaryConfig {
     fn default() -> Self {
-        Self {
-            max_words: 60,
-            redundancy_penalty: 0.5,
-        }
+        Self { max_words: 60 }
     }
 }
+
+/// Redundancy penalty: a candidate sentence loses this × its max similarity
+/// to already-selected sentences (a light MMR).
+const REDUNDANCY_PENALTY: f32 = 0.5;
 
 /// Extractively summarize `text` to at most `config.max_words` words.
 ///
@@ -64,7 +62,7 @@ pub fn summarize(text: &str, embedder: &SharedEmbedder, config: &SummaryConfig) 
                 .iter()
                 .map(|&j| cosine_embeddings(e, &embeddings[j]))
                 .fold(0.0f32, f32::max);
-            let score = centrality - config.redundancy_penalty * redundancy;
+            let score = centrality - REDUNDANCY_PENALTY * redundancy;
             if best.map_or(true, |(_, s)| score > s) {
                 best = Some((i, score));
             }
@@ -139,10 +137,7 @@ mod tests {
                     Rome contains the Vatican City enclave. \
                     The capital of Spain is Madrid. \
                     Madrid sits on the Manzanares river.";
-        let cfg = SummaryConfig {
-            max_words: 20,
-            ..SummaryConfig::default()
-        };
+        let cfg = SummaryConfig { max_words: 20 };
         let summary = summarize(text, &e, &cfg);
         assert!(!summary.is_empty());
         assert!(
@@ -160,10 +155,7 @@ mod tests {
                     France borders Germany Spain and Italy. \
                     The official language of France is French. \
                     My soup recipe needs more salt.";
-        let cfg = SummaryConfig {
-            max_words: 18,
-            ..SummaryConfig::default()
-        };
+        let cfg = SummaryConfig { max_words: 18 };
         let summary = summarize(text, &e, &cfg).to_lowercase();
         assert!(summary.contains("france"), "summary: {summary}");
     }
@@ -175,10 +167,7 @@ mod tests {
                     Beta event happened second at noon with more alpha context. \
                     Gamma event happened third in the evening with alpha again. \
                     Delta event closed the day with alpha mentioned once more.";
-        let cfg = SummaryConfig {
-            max_words: 24,
-            ..SummaryConfig::default()
-        };
+        let cfg = SummaryConfig { max_words: 24 };
         let summary = summarize(text, &e, &cfg);
         // Whatever was kept must appear in chronological order.
         let positions: Vec<usize> = ["first", "second", "third", "closed"]
@@ -194,10 +183,7 @@ mod tests {
     fn deterministic() {
         let e = embedder();
         let text = "One fact here. Two facts there. Three facts everywhere. Four facts nowhere. Five facts somewhere.";
-        let cfg = SummaryConfig {
-            max_words: 8,
-            ..SummaryConfig::default()
-        };
+        let cfg = SummaryConfig { max_words: 8 };
         assert_eq!(summarize(text, &e, &cfg), summarize(text, &e, &cfg));
     }
 }
